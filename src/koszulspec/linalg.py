@@ -2,15 +2,20 @@
 
 Vectors are sparse dicts {index: int} (or Fraction at the API boundary).
 Exact elimination works on integer rows with cross-multiplication and
-content stripping, so no Fractions appear in inner loops.  Ranks go through
-reduction modulo two fixed word-size primes first; the exact path is run
-whenever the primes disagree or when an exact result is requested.
+content stripping, so no Fractions appear in inner loops.  Pivot rows are
+taken in Markowitz order (fewest entries first) from a heap, with a
+column-to-rows index for the rows each pivot touches.  Kernels come out as
+primitive sparse integer vectors, read off a fraction-free back-reduction
+of the pivot rows.  Ranks go through reduction modulo two fixed word-size
+primes first; the exact path is run whenever the primes disagree or when an
+exact result is requested.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -124,25 +129,16 @@ class SparseMatrix:
 # -- exact elimination -------------------------------------------------------
 
 
-def _pick_pivot_row(active: dict[int, SparseVec]) -> int:
-    """Row with fewest entries, ties broken by smallest coefficient bit
-    length and then by index, for deterministic sparse elimination."""
-    best = None
-    best_key = None
-    for idx, row in active.items():
-        nnz = len(row)
-        bits = min(abs(v).bit_length() for v in row.values())
-        key = (nnz, bits, idx)
-        if best_key is None or key < best_key:
-            best, best_key = idx, key
-    assert best is not None
-    return best
+def _pivot_key(row: SparseVec, idx: int) -> tuple[int, int, int]:
+    """Markowitz-style pivot row order: fewest entries, then smallest
+    coefficient bit length, then index, for deterministic sparse elimination."""
+    return (len(row), min(abs(v).bit_length() for v in row.values()), idx)
 
 
-def _pick_pivot_col(row: SparseVec, col_use: dict[int, int]) -> int:
+def _pick_pivot_col(row: SparseVec, col_rows: dict[int, set[int]]) -> int:
     """Column within `row` minimizing fill: fewest uses among active rows,
     then smallest coefficient, then smallest index."""
-    return min(row, key=lambda c: (col_use.get(c, 0), abs(row[c]).bit_length(), c))
+    return min(row, key=lambda c: (len(col_rows[c]), abs(row[c]).bit_length(), c))
 
 
 def _eliminate(
@@ -155,29 +151,39 @@ def _eliminate(
     in elimination order.  Rows are modified in place; rhs entries (parallel
     per-row dicts over a separate column namespace) receive the same row
     operations, so [A | rhs] stays row-equivalent to the input.
+
+    Active rows wait in a heap keyed by `_pivot_key`; an entry whose key no
+    longer matches its row's current key is stale and skipped.  `col_rows`
+    maps each column to the active rows that contain it.
     """
     work = [dict(r) for r in rows]
     side = [dict(r) for r in rhs] if rhs is not None else None
     active = {i: work[i] for i in range(len(work)) if work[i]}
-    col_use: dict[int, int] = {}
-    for row in active.values():
+    col_rows: dict[int, set[int]] = {}
+    for i, row in active.items():
         for c in row:
-            col_use[c] = col_use.get(c, 0) + 1
+            col_rows.setdefault(c, set()).add(i)
+    keys = {i: _pivot_key(row, i) for i, row in active.items()}
+    heap = list(keys.values())
+    heapq.heapify(heap)
     pivots: list[tuple[int, int]] = []
-    while active:
-        i = _pick_pivot_row(active)
+    while heap:
+        key = heapq.heappop(heap)
+        i = key[2]
+        if keys.get(i) != key:
+            continue
+        del keys[i]
         row = active.pop(i)
-        c = _pick_pivot_col(row, col_use)
+        for cc in row:
+            col_rows[cc].discard(i)
+        c = _pick_pivot_col(row, col_rows)
         pivots.append((c, i))
         p = row[c]
-        for cc in row:
-            col_use[cc] -= 1
-        touched = [j for j, other in active.items() if c in other]
-        for j in touched:
+        for j in list(col_rows[c]):
             other = active[j]
             a = other[c]
             for cc in other:
-                col_use[cc] -= 1
+                col_rows[cc].discard(j)
             g = gcd(p, a)
             mp, ma = p // g, a // g
             new: SparseVec = {}
@@ -212,9 +218,12 @@ def _eliminate(
             if new:
                 active[j] = new
                 for cc in new:
-                    col_use[cc] = col_use.get(cc, 0) + 1
+                    col_rows[cc].add(j)
+                keys[j] = _pivot_key(new, j)
+                heapq.heappush(heap, keys[j])
             else:
                 del active[j]
+                del keys[j]
         work[i] = row
     return pivots, work, side
 
@@ -224,36 +233,78 @@ def rank_exact_rows(rows: list[SparseVec]) -> int:
     return len(pivots)
 
 
-def kernel_int_columns(columns: list[SparseVec], ncols_hint: int | None = None) -> list[tuple[Fraction, ...]]:
+def _back_reduce(pivots: list[tuple[int, int]], rows: list[SparseVec]) -> None:
+    """Clear every later pivot column from each pivot row of `_eliminate`,
+    in place, so each keeps only its own pivot and free columns.
+
+    Rows are handled in reverse pivot order; a row already handled holds no
+    other pivot column, so subtracting it from an earlier row brings in free
+    columns only.  Integer cross-multiplication, content stripped per row.
+    """
+    row_of = dict(pivots)
+    for c, i in reversed(pivots):
+        row = rows[i]
+        for cp in [cc for cc in row if cc != c and cc in row_of]:
+            other = rows[row_of[cp]]
+            p, a = other[cp], row[cp]
+            g = gcd(p, a)
+            mp, ma = p // g, a // g
+            new: SparseVec = {cc: mp * v for cc, v in row.items()}
+            for cc, v in other.items():
+                acc = new.get(cc, 0) - ma * v
+                if acc:
+                    new[cc] = acc
+                else:
+                    del new[cc]
+            row = new
+        rows[i], _ = _strip_content(row)
+
+
+def kernel_int_columns(
+    columns: list[SparseVec], ncols_hint: int | None = None
+) -> list[SparseVec]:
     """Exact kernel of the matrix with the given columns; vectors indexed by
-    column position.  Returned as tuples of Fractions, content-normalized."""
+    column position.
+
+    One vector per free column f, in increasing f: the kernel vector that is
+    zero on every other free column, as a primitive sparse integer vector
+    with keys in increasing order and its leading entry positive.  The
+    pivot rows are back-reduced fraction-free, so each vector is read off
+    directly: with lowest-terms x[c] = -row[f] / row[c] over the pivot rows
+    that touch f, scaling by the lcm L of their denominators (x[f] = L)
+    gives a primitive integer vector.
+    """
     ncols = len(columns) if ncols_hint is None else ncols_hint
     rows: dict[int, SparseVec] = {}
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    row_list = list(rows.values())
-    pivots, reduced, _ = _eliminate(row_list)
+    pivots, reduced, _ = _eliminate(list(rows.values()))
+    _back_reduce(pivots, reduced)
+    touching: dict[int, list[tuple[int, int, int]]] = {}
+    for c, i in pivots:
+        row = reduced[i]
+        p = row[c]
+        for f, v in row.items():
+            if f != c:
+                g = gcd(v, p)
+                num, den = -v // g, p // g
+                if den < 0:
+                    num, den = -num, -den
+                touching.setdefault(f, []).append((c, num, den))
     pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    out: list[tuple[Fraction, ...]] = []
-    for cf in free_cols:
-        x: dict[int, Fraction] = {cf: Fraction(1)}
-        for c, i in reversed(pivots):
-            row = reduced[i]
-            acc = Fraction(0)
-            for cc, v in row.items():
-                if cc != c:
-                    xv = x.get(cc)
-                    if xv is not None:
-                        acc += v * xv
-            if acc:
-                x[c] = -acc / row[c]
-        vec, _ = vec_from_fractions(x)
-        lead = vec[min(vec)]
-        if lead < 0:
-            vec = {k: -v for k, v in vec.items()}
-        out.append(tuple(Fraction(vec.get(c, 0)) for c in range(ncols)))
+    out: list[SparseVec] = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        terms = touching.get(f, ())
+        L = lcm(*(den for _, _, den in terms))
+        vec = {c: num * (L // den) for c, num, den in terms}
+        vec[f] = L
+        vec = dict(sorted(vec.items()))
+        if next(iter(vec.values())) < 0:
+            vec = {c: -v for c, v in vec.items()}
+        out.append(vec)
     return out
 
 
@@ -372,11 +423,10 @@ class IntEchelon:
         return [dict(self.rows[c]) for c in sorted(self.rows)]
 
 
-def combo_kernel(
-    vectors: list[SparseVec], echelon: IntEchelon
-) -> list[tuple[Fraction, ...]]:
+def combo_kernel(vectors: list[SparseVec], echelon: IntEchelon) -> list[SparseVec]:
     """Coefficient vectors c such that sum_a c[a] * vectors[a] lies in the
-    span of `echelon`.  Basis of that coefficient space, exact."""
+    span of `echelon`.  Basis of that coefficient space, exact: primitive
+    sparse integer vectors with their leading entry positive."""
     residuals: list[SparseVec] = []
     scales: list[Fraction] = []
     for v in vectors:
@@ -384,11 +434,7 @@ def combo_kernel(
         residuals.append(r)
         scales.append(s)
     raw = kernel_int_columns(residuals, ncols_hint=len(vectors))
-    out = []
-    for b in raw:
-        c = tuple(b[a] * scales[a] for a in range(len(vectors)))
-        out.append(c)
-    return out
+    return [vec_from_fractions({a: v * scales[a] for a, v in b.items()})[0] for b in raw]
 
 
 # -- canonical subspaces -------------------------------------------------------
@@ -605,7 +651,7 @@ def kernel(A: SparseMatrix) -> Subspace:
         cols.append(v)
         scales.append(s)
     vectors = kernel_int_columns(cols, ncols_hint=A.cols)
-    fixed = [{c: y[c] * scales[c] for c in range(A.cols) if y[c]} for y in vectors]
+    fixed = [{c: v * scales[c] for c, v in y.items()} for y in vectors]
     return Subspace(A.cols, [vec_from_fractions(f)[0] for f in fixed])
 
 

@@ -53,39 +53,17 @@ class BoundViolation(RuntimeError):
 # -- small vector helpers ------------------------------------------------------
 
 
-def _int_coeffs(c) -> list[int]:
-    """Clear denominators and content from a rational coefficient tuple."""
-    denom = 1
-    for v in c:
-        if v:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in c]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            return ints
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _combine(vectors: list[SparseVec], coeffs: list[int]) -> SparseVec:
+def _combine(vectors: list[SparseVec], coeffs: SparseVec) -> SparseVec:
+    """sum_a coeffs[a] * vectors[a] for a sparse integer coefficient vector."""
     out: SparseVec = {}
-    for c, vec in zip(coeffs, vectors):
-        if not c:
-            continue
-        for r, v in vec.items():
+    for a, c in coeffs.items():
+        for r, v in vectors[a].items():
             acc = out.get(r, 0) + c * v
             if acc:
                 out[r] = acc
             else:
                 del out[r]
     return out
-
-
-def _tuple_to_sparse(t) -> SparseVec:
-    return {i: int(v) for i, v in enumerate(t) if v}
 
 
 def _apply_derivative(win: KoszulWindow, j: int, m: int, vec: SparseVec) -> SparseVec:
@@ -159,10 +137,7 @@ class SubquotientState:
         for k in range(d + n - 1, K + 1):
             m = k - d
             cols = win.wedge_columns(n - 1, m)
-            cyc = [
-                _tuple_to_sparse(t)
-                for t in kernel_int_columns(cols, ncols_hint=win.dim(n - 1, m))
-            ]
+            cyc = kernel_int_columns(cols, ncols_hint=win.dim(n - 1, m))
             self._cyc_cols[k] = cyc
             if not cyc:
                 continue
@@ -277,9 +252,8 @@ class SubquotientState:
             )
             modulo = self._adjustment_space(j)
             for c in kerco:
-                ic = _int_coeffs(c)
-                v_c = _combine(values, ic)
-                rep_c = _combine([g.rep for g in glist], ic)
+                v_c = _combine(values, c)
+                rep_c = _combine([g.rep for g in glist], c)
                 x = solve_into(wedge, v_c, modulo=modulo)
                 if x is NO_SOLUTION:
                     raise LiftFailure(
@@ -350,10 +324,10 @@ def d1_rank(win: KoszulWindow, k: int) -> tuple[int, Subspace, Subspace]:
             raise WellDefinednessViolation(
                 f"derivative of a boundary escapes relations at degree {m}"
             )
-    cyc = [
-        _tuple_to_sparse(t)
-        for t in kernel_int_columns(win.wedge_columns(n - 1, m), ncols_hint=src_dim)
-    ] if m >= n - 1 else []
+    cyc = (
+        kernel_int_columns(win.wedge_columns(n - 1, m), ncols_hint=src_dim)
+        if m >= n - 1 else []
+    )
     bech = IntEchelon(src_dim)
     bech.add_many(bnd)
     reps = []
@@ -366,7 +340,7 @@ def d1_rank(win: KoszulWindow, k: int) -> tuple[int, Subspace, Subspace]:
     kerco = combo_kernel(values, rel1)
     ker_cols = list(bnd)
     for c in kerco:
-        ker_cols.append(_combine(reps, _int_coeffs(c)))
+        ker_cols.append(_combine(reps, c))
     rel1.add_many(values)
     return rank, Subspace(src_dim, ker_cols), Subspace._from_echelon(rel1)
 
@@ -424,7 +398,13 @@ class TorsionProfile:
 
 @dataclass
 class _TowerResult:
-    state: SubquotientState
+    """What the tower leaves on its window.  It keeps the state's rows, not
+    the state itself: the state refers back to the window, and that cycle
+    would keep every window alive until a cyclic garbage collection."""
+
+    image_dims: dict[tuple[int, int], int]
+    mu_hist: dict[int, list[int]]
+    nu_hist: dict[int, list[int]]
     r_star: int
     truncated: bool
     mu_final: list[int]
@@ -462,7 +442,9 @@ def _run_tower(win: KoszulWindow) -> _TowerResult:
         if mu_final[k] - nu_final[k] != 0:
             truncated = True
     result = _TowerResult(
-        state=state,
+        image_dims=state.image_dims,
+        mu_hist=state.mu_hist,
+        nu_hist=state.nu_hist,
         r_star=r_star,
         truncated=truncated,
         mu_final=mu_final,
@@ -493,7 +475,7 @@ def torsion_profile(win: KoszulWindow) -> TorsionProfile:
     """Per-stage, per-degree image dimensions of the higher differentials."""
     res = _run_tower(win)
     entries = {
-        (r, k): v for (r, k), v in sorted(res.state.image_dims.items()) if r >= 2
+        (r, k): v for (r, k), v in sorted(res.image_dims.items()) if r >= 2
     }
     return TorsionProfile(
         entries=entries,
@@ -506,7 +488,7 @@ def stage_snapshot(win: KoszulWindow, r: int) -> tuple[list[int], list[int]]:
     """(mu row, nu row) of stage r; the final rows when r exceeds the last
     computed stage (they no longer change after stabilization)."""
     res = _run_tower(win)
-    hist_mu, hist_nu = res.state.mu_hist, res.state.nu_hist
+    hist_mu, hist_nu = res.mu_hist, res.nu_hist
     if r in hist_mu:
         return list(hist_mu[r]), list(hist_nu[r])
     top = max(hist_mu)

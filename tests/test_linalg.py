@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,10 +13,13 @@ from koszulspec.linalg import (
     ModularSpan,
     SparseMatrix,
     Subspace,
+    DEFAULT_PRIMES,
     combo_kernel,
     image,
     kernel,
+    kernel_int_columns,
     rank,
+    rank_exact_rows,
     solve_into,
     vec_from_fractions,
 )
@@ -180,13 +184,85 @@ def test_combo_kernel_combinations_land_in_span():
     assert combos, "the first two vectors are dependent modulo the span"
     for c in combos:
         acc = {}
-        for coeff, vec in zip(c, vectors):
-            for k, v in vec.items():
-                acc[k] = acc.get(k, F(0)) + coeff * v
+        for a, coeff in c.items():
+            for k, v in vectors[a].items():
+                acc[k] = acc.get(k, 0) + coeff * v
         residue = {k: v for k, v in acc.items() if v}
-        assert ech.contains(vec_from_fractions(residue)[0] if residue else {})
+        assert ech.contains(residue)
         # the third vector never participates: it is independent
-        assert c[2] == 0
+        assert c.get(2, 0) == 0
+
+
+def _random_low_rank_columns(rng, nrows, ncols, rank, big):
+    """Columns of U V for random integer U (nrows x rank), V (rank x ncols);
+    with `big`, some entries are multiples of p0*p1."""
+    p0p1 = DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]
+
+    def entry():
+        if big and rng.random() < 0.3:
+            return rng.choice((1, -1, 3)) * p0p1
+        return rng.randint(-4, 4) if rng.random() < 0.6 else 0
+
+    U = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    V = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    cols = []
+    for c in range(ncols):
+        col = {}
+        for r in range(nrows):
+            v = sum(U[r][t] * V[t][c] for t in range(rank))
+            if v:
+                col[r] = v
+        cols.append(col)
+    return cols
+
+
+def test_kernel_int_columns_property():
+    """Exact annihilation, full dimension, primitive vectors with a
+    positive leading entry, on random rank-deficient integer matrices."""
+    rng = random.Random(20261018)
+    for trial in range(120):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
+        cols = _random_low_rank_columns(
+            rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), big=trial % 3 == 0
+        )
+        ker = kernel_int_columns(cols)
+        assert isinstance(ker, list)
+        assert len(ker) == ncols - rank_exact_rows(cols)
+        for vec in ker:
+            assert vec and all(isinstance(v, int) and v for v in vec.values())
+            assert vec[min(vec)] > 0
+            g = 0
+            for v in vec.values():
+                g = gcd(g, v)
+            assert g == 1
+            image_ = {}
+            for c, x in vec.items():
+                for r, v in cols[c].items():
+                    image_[r] = image_.get(r, 0) + x * v
+            assert not any(image_.values())
+
+
+def test_kernel_int_columns_frozen_basis():
+    """Kernel basis of a fixed 6x8 matrix: the free columns, and so the
+    basis, pin the pivot order and its tie-break."""
+    A = [
+        [1, 2, 0, -1, 3, 0, 2, 1],
+        [0, 1, 1, 2, 0, -2, 1, 0],
+        [1, 3, 1, 1, 3, -2, 3, 1],
+        [2, 0, -4, -10, 6, 8, 0, 2],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [3, 1, 0, 4, -1, 5, 0, 6],
+    ]
+    cols = [{r: A[r][c] for r in range(6) if A[r][c]} for c in range(8)]
+    assert kernel_int_columns(cols) == [
+        {0: 2, 1: -6, 2: 1, 6: 5},
+        {1: 8, 2: 5, 3: -2, 6: -9},
+        {1: 2, 2: 3, 4: 2, 6: -5},
+        {1: 5, 2: -2, 5: -1, 6: -5},
+        {1: 12, 2: -1, 6: -11, 7: -2},
+    ]
+    # columns past the last one given are free: each adds a unit vector
+    assert kernel_int_columns(cols, ncols_hint=9)[-1] == {8: 1}
 
 
 def test_vec_from_fractions_scaling():
@@ -199,8 +275,6 @@ def test_vec_from_fractions_scaling():
 
 
 def test_modular_span_added_rank():
-    from koszulspec.linalg import DEFAULT_PRIMES
-
     span = ModularSpan([{0: 1, 1: 2}], 4, DEFAULT_PRIMES[0])
     assert span.rank == 1
     assert span.added_rank([{0: 2, 1: 4}]) == 0

@@ -1,11 +1,14 @@
 """Pole order tower: stage differentials, spectra, torsion profiles, bounds."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import support
 import tables
+from koszulspec.koszul import KoszulWindow
 from koszulspec.polespec import (
     BoundViolation,
     PoleSpectrum,
@@ -177,6 +180,23 @@ def test_smooth_input_stabilizes_immediately():
     assert not sp.truncated
     assert sp.support == tables.FERMAT_CUBIC["spectrum"]
     assert torsion_profile(win).degenerate
+
+
+def test_tower_result_leaves_no_window_cycle():
+    """The cached tower result must not refer back to its window: with the
+    cyclic collector off, dropping the last reference frees the window."""
+    win = KoszulWindow(support.corpus_poly("xyz"))
+    ref = weakref.ref(win)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pole_spectrum(win)
+        torsion_profile(win)
+        del win
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_non_wh_tower_frozen():
