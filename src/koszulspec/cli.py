@@ -45,6 +45,20 @@ from .polespec import (
 )
 
 
+# exception types -> exit code, in the order they are matched
+_EXIT_CODES = (
+    ((ValueError, KeyError), 2),
+    ((NotStabilizedError, AssumptionFailure), 3),
+    ((IdentityViolation, BoundViolation, WellDefinednessViolation, LiftFailure), 4),
+    ((OSError,), 5),
+)
+_HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
+
+
+def _exit_code(exc: BaseException) -> int:
+    return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+
+
 def _timed(label: str, t0: float) -> None:
     print(f"[time] {label}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
@@ -212,13 +226,21 @@ def catalog_append(record: dict, path: str) -> None:
         fh.write(line + "\n")
 
 
-def catalog_read(path: str) -> list[dict]:
+def catalog_read(path: str) -> list[tuple[int, dict]]:
+    """(line number, record) for every non-blank line; a line that is not a
+    JSON object raises ValueError naming the line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"catalog line {lineno}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"catalog line {lineno}: not a JSON object")
+            records.append((lineno, rec))
     return records
 
 
@@ -358,6 +380,9 @@ def _check_one(
     tab = build_invariant_table(f, k_max=kmax, seed=seed)
     report = verify_corollaries(tab)
     lines = [f"identities: ok (defect sides {'nonnegative' if report.defect_sides_nonnegative else 'mixed sign'})"]
+    # one tower window serves both the oracle comparison and the bounds
+    if binary_form is not None or alpha_min is not None:
+        win = KoszulWindow(f, tab.k_max)
     if nodal:
         check_nodal_vanishing(tab)
         lines.append("nodal vanishing: ok")
@@ -375,7 +400,6 @@ def _check_one(
             ]
             if a != b
         ]
-        win = KoszulWindow(f, tab.k_max)
         sp = pole_spectrum(win)
         if binary_pole_spectrum(fac).spectrum != sp:
             mism.append("Sp_P")
@@ -383,7 +407,6 @@ def _check_one(
             raise IdentityViolation([("closed-form-oracle", row, "engine", "closed") for row in mism])
         lines.append("closed-form oracle: ok")
     if alpha_min is not None:
-        win = KoszulWindow(f, tab.k_max)
         sp = pole_spectrum(win)
         _, nu2 = stage_snapshot(win, 2)
         bounds = check_exponent_bounds(
@@ -397,29 +420,57 @@ def _check_one(
     return lines
 
 
+def _optional_int(value, name: str) -> int | None:
+    """A window or seed field of a corpus entry or catalog record."""
+    if value is not None and type(value) is not int:
+        raise ValueError(f"{name!r} must be an integer")
+    return value
+
+
+def _variable_names(value) -> list[str]:
+    """Variables of a corpus entry or catalog record: a comma-separated
+    string or a list of names."""
+    if isinstance(value, str):
+        return _parse_vars(value)
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise ValueError("variables must be a comma-separated string or a list of names")
+
+
+def _record_args(rec: dict) -> argparse.Namespace:
+    """Command arguments that reproduce a catalog record."""
+    engine = rec.get("command") == "invariants" or not rec.get("binary_form")
+    if engine and not isinstance(rec.get("input"), str):
+        raise ValueError("record needs an 'input' string")
+    return argparse.Namespace(
+        poly=rec.get("input"),
+        vars=",".join(_variable_names(rec.get("variables"))) if engine else None,
+        kmax=_optional_int(rec.get("k_max"), "k_max"),
+        seed=_optional_int(rec.get("seed"), "seed"),
+        json=True,
+        catalog=None,
+        binary_form=rec.get("binary_form"),
+    )
+
+
 def _verify_catalog(path: str) -> int:
     records = catalog_read(path)
     mismatches = 0
     skipped = 0
-    for i, rec in enumerate(records):
+    for i, (lineno, rec) in enumerate(records):
         if rec.get("engine_version") != __version__:
             skipped += 1
             continue
-        ns = argparse.Namespace(
-            poly=rec.get("input"),
-            vars=",".join(rec["variables"]) if rec.get("variables") else None,
-            kmax=rec.get("k_max"),
-            seed=rec.get("seed"),
-            json=True,
-            catalog=None,
-            binary_form=rec.get("binary_form"),
-        )
-        if rec.get("command") == "invariants":
-            fresh, _ = _invariants_record(ns)
-        elif rec.get("binary_form"):
-            fresh, _ = _spectrum_closed_record(ns)
-        else:
-            fresh, _ = _spectrum_engine_record(ns)
+        try:
+            ns = _record_args(rec)
+            if rec.get("command") == "invariants":
+                fresh, _ = _invariants_record(ns)
+            elif rec.get("binary_form"):
+                fresh, _ = _spectrum_closed_record(ns)
+            else:
+                fresh, _ = _spectrum_engine_record(ns)
+        except ValueError as exc:
+            raise ValueError(f"catalog line {lineno}: {exc}") from exc
         bad = [k for k in fresh if k in rec and rec[k] != fresh[k]]
         if bad:
             mismatches += 1
@@ -431,33 +482,51 @@ def _verify_catalog(path: str) -> int:
     return 4 if mismatches else 0
 
 
+def _check_corpus(args) -> int:
+    """Identity suite on every corpus entry.  Each entry gets a PASS line, or
+    a FAIL (violated identity or bound) or ERROR line with its exit code; a
+    summary line follows, and the result is the highest exit code seen."""
+    with open(args.corpus, "r", encoding="utf-8") as fh:
+        lines = [(lineno, line) for lineno, line in enumerate(fh, 1) if line.strip()]
+    worst = 0
+    counts = {"FAIL": 0, "ERROR": 0}
+    for lineno, line in lines:
+        label = f"line {lineno}"
+        try:
+            entry = json.loads(line)
+            if not isinstance(entry, dict):
+                raise ValueError("not a JSON object")
+            label = entry.get("input", label)
+            checks = _check_one(
+                entry["input"],
+                _variable_names(entry.get("vars", args.vars)),
+                _optional_int(entry.get("k_max"), "k_max"),
+                _optional_int(entry.get("seed", args.seed), "seed"),
+                entry.get("nodal", False),
+                entry.get("alpha_min"),
+                entry.get("exponents"),
+                entry.get("binary_form"),
+            )
+        except _HANDLED as exc:
+            code = _exit_code(exc)
+            outcome = "FAIL" if code == 4 else "ERROR"
+            counts[outcome] += 1
+            worst = max(worst, code)
+            print(f"{outcome} {label}: {exc} (exit {code})")
+        else:
+            print(f"PASS {label}: " + "; ".join(checks))
+    print(
+        f"corpus: {len(lines)} records, {len(lines) - counts['FAIL'] - counts['ERROR']} passed, "
+        f"{counts['FAIL']} failed, {counts['ERROR']} errors"
+    )
+    return worst
+
+
 def cmd_check(args) -> int:
     if args.catalog and not (args.poly or args.corpus):
         return _verify_catalog(args.catalog)
-    failures = 0
     if args.corpus:
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            entries = [json.loads(line) for line in fh if line.strip()]
-        for entry in entries:
-            label = entry.get("input", "?")
-            raw_vars = entry.get("vars", args.vars)
-            variables = _parse_vars(raw_vars) if isinstance(raw_vars, str) else list(raw_vars)
-            try:
-                lines = _check_one(
-                    entry["input"],
-                    variables,
-                    entry.get("k_max"),
-                    entry.get("seed", args.seed),
-                    entry.get("nodal", False),
-                    entry.get("alpha_min"),
-                    entry.get("exponents"),
-                    entry.get("binary_form"),
-                )
-                print(f"PASS {label}: " + "; ".join(lines))
-            except (IdentityViolation, BoundViolation) as exc:
-                failures += 1
-                print(f"FAIL {label}: {exc}")
-        return 4 if failures else 0
+        return _check_corpus(args)
     if not args.poly:
         raise ValueError("need a polynomial, --corpus, or --catalog")
     exponents = None
@@ -529,18 +598,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotStabilizedError, AssumptionFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (IdentityViolation, BoundViolation, WellDefinednessViolation, LiftFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

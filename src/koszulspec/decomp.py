@@ -9,8 +9,7 @@ torsion and is injective on the free part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .koszul import KoszulWindow, assumption_evidence
 from .linalg import DEFAULT_PRIMES, IntEchelon, ModularSpan, SparseVec

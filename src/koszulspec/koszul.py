@@ -15,7 +15,6 @@ from math import comb
 
 from .linalg import (
     DEFAULT_PRIMES,
-    SparseMatrix,
     SparseVec,
     rank_exact_rows,
     rank_mod,
@@ -126,6 +125,8 @@ class KoszulWindow:
         self._rank: dict[tuple[int, int], int] = {}
         self._exact_ranks = False
         self._gamma = gamma_series(self.n, self.d, self.k_max)
+        # the pole order tower's result, cached by polespec._run_tower
+        self._tower_result = None
 
     # -- bases ---------------------------------------------------------------
 
@@ -251,20 +252,6 @@ class KoszulWindow:
         one-dimensional-singular-locus assumption."""
         cycles = self.dim(self.n - 2, k - 2 * self.d) - self.rank_wedge(self.n - 2, k - 2 * self.d)
         return cycles - self.rank_wedge(self.n - 3, k - 3 * self.d)
-
-
-def build_wedge(win: KoszulWindow, j: int, k: int) -> SparseMatrix:
-    """Matrix of df wedge : (j-forms, degree k-d) -> (j+1, degree k)."""
-    cols = win.wedge_columns(j, k - win.d)
-    return SparseMatrix.from_columns(win.dim(j + 1, k), cols)
-
-
-def mu(win: KoszulWindow, k: int) -> int:
-    return win.mu(k)
-
-
-def nu(win: KoszulWindow, k: int) -> int:
-    return win.nu(k)
 
 
 @dataclass(frozen=True)

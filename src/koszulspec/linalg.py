@@ -1,20 +1,24 @@
-"""Sparse exact linear algebra over Q, with a modular fast path for ranks.
+"""Sparse exact linear algebra over Q on integer vectors, with a modular
+fast path for ranks.
 
-Vectors are sparse dicts {index: int} (or Fraction at the API boundary).
-Exact elimination works on integer rows with cross-multiplication and
-content stripping, so no Fractions appear in inner loops.  Pivot rows are
-taken in Markowitz order (fewest entries first) from a heap, with a
-column-to-rows index for the rows each pivot touches.  Kernels come out as
-primitive sparse integer vectors, read off a fraction-free back-reduction
-of the pivot rows.  Ranks go through reduction modulo two fixed word-size
-primes first; the exact path is run whenever the primes disagree or when an
-exact result is requested.
+Vectors are sparse dicts {index: int}; a matrix is a list of its columns.
+Rational data enters only through `vec_from_fractions`, which clears
+denominators.  Exact elimination works on integer rows with
+cross-multiplication and content stripping, so no Fractions appear in inner
+loops.  Pivot rows are taken in Markowitz order (fewest entries first) from
+a heap, with a column-to-rows index for the rows each pivot touches.
+Kernels and solutions are read off a fraction-free back-reduction of the
+pivot rows: kernels as primitive sparse integer vectors, solutions as an
+integer vector with a common denominator.  Ranks go through reduction
+modulo two fixed word-size primes first; the exact path is run whenever the
+primes disagree or when an exact result is requested.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -23,16 +27,6 @@ import numpy as np
 DEFAULT_PRIMES = (2147483647, 2147483629)
 
 SparseVec = dict[int, int]
-
-
-class NoSolution:
-    """Marker type: solve_into returns NO_SOLUTION when b is not reachable."""
-
-    def __repr__(self):
-        return "NO_SOLUTION"
-
-
-NO_SOLUTION = NoSolution()
 
 
 def _strip_content(vec: SparseVec) -> tuple[SparseVec, int]:
@@ -47,10 +41,33 @@ def _strip_content(vec: SparseVec) -> tuple[SparseVec, int]:
     return {c: v // g for c, v in vec.items()}, g
 
 
+def strip_joint_content(a: SparseVec, b: SparseVec) -> tuple[SparseVec, SparseVec]:
+    """Divide both vectors by the gcd of all their entries together."""
+    g = 0
+    for v in a.values():
+        g = gcd(g, v)
+    for v in b.values():
+        g = gcd(g, v)
+    if g <= 1:
+        return a, b
+    return {c: v // g for c, v in a.items()}, {c: v // g for c, v in b.items()}
+
+
+def _cross(mu: int, u: SparseVec, mv: int, v: SparseVec) -> SparseVec:
+    """mu * u - mv * v."""
+    out = {c: mu * x for c, x in u.items()}
+    for c, x in v.items():
+        acc = out.get(c, 0) - mv * x
+        if acc:
+            out[c] = acc
+        else:
+            out.pop(c, None)
+    return out
+
+
 def vec_from_fractions(values) -> tuple[SparseVec, Fraction]:
     """Sparse integer vector proportional to `values`; returns (vec, scale)
     with vec = scale * values and scale > 0."""
-    entries = {}
     if isinstance(values, dict):
         items = values.items()
     else:
@@ -66,64 +83,13 @@ def vec_from_fractions(values) -> tuple[SparseVec, Fraction]:
     return ints, Fraction(denom, content)
 
 
-class SparseMatrix:
-    """Sparse matrix over Q stored column-wise."""
-
-    __slots__ = ("rows", "cols", "coldata")
-
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
-        self.rows = rows
-        self.cols = cols
-        self.coldata: list[dict[int, Fraction]] = [dict() for _ in range(cols)]
-        if entries:
-            for (r, c), v in entries.items():
-                self.set(r, c, v)
-
-    @classmethod
-    def from_columns(cls, nrows: int, columns: list[dict[int, Fraction]]) -> "SparseMatrix":
-        m = cls(nrows, len(columns))
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                m.set(r, c, v)
-        return m
-
-    def set(self, r: int, c: int, value) -> None:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
-        value = Fraction(value)
-        if value:
-            self.coldata[c][r] = value
-        else:
-            self.coldata[c].pop(r, None)
-
-    def get(self, r: int, c: int) -> Fraction:
-        return self.coldata[c].get(r, Fraction(0))
-
-    @property
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        return {(r, c): v for c, col in enumerate(self.coldata) for r, v in col.items()}
-
-    def nnz(self) -> int:
-        return sum(len(col) for col in self.coldata)
-
-    def int_columns(self) -> list[SparseVec]:
-        """Columns rescaled to integer vectors (rank/image-safe)."""
-        return [vec_from_fractions(col)[0] for col in self.coldata]
-
-    def int_rows(self) -> list[SparseVec]:
-        """Rows rescaled to integer vectors (rank/kernel-safe)."""
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for c, col in enumerate(self.coldata):
-            for r, v in col.items():
-                rows[r][c] = v
-        return [vec_from_fractions(row)[0] for row in rows]
-
-    def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.cols, self.rows)
-        for c, col in enumerate(self.coldata):
-            for r, v in col.items():
-                out.coldata[r][c] = v
-        return out
+def _rows_of(columns) -> dict[int, SparseVec]:
+    """Rows of the matrix with the given columns, keyed by row index."""
+    rows: dict[int, SparseVec] = {}
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    return rows
 
 
 # -- exact elimination -------------------------------------------------------
@@ -186,32 +152,9 @@ def _eliminate(
                 col_rows[cc].discard(j)
             g = gcd(p, a)
             mp, ma = p // g, a // g
-            new: SparseVec = {}
-            for cc, v in other.items():
-                new[cc] = mp * v
-            for cc, v in row.items():
-                acc = new.get(cc, 0) - ma * v
-                if acc:
-                    new[cc] = acc
-                else:
-                    new.pop(cc, None)
+            new = _cross(mp, other, ma, row)
             if side is not None:
-                bnew: SparseVec = {cc: mp * v for cc, v in side[j].items()}
-                for cc, v in side[i].items():
-                    acc = bnew.get(cc, 0) - ma * v
-                    if acc:
-                        bnew[cc] = acc
-                    else:
-                        bnew.pop(cc, None)
-                joint = 0
-                for v in new.values():
-                    joint = gcd(joint, v)
-                for v in bnew.values():
-                    joint = gcd(joint, v)
-                if joint > 1:
-                    new = {cc: v // joint for cc, v in new.items()}
-                    bnew = {cc: v // joint for cc, v in bnew.items()}
-                side[j] = bnew
+                new, side[j] = strip_joint_content(new, _cross(mp, side[j], ma, side[i]))
             else:
                 new, _ = _strip_content(new)
             work[j] = new
@@ -233,31 +176,42 @@ def rank_exact_rows(rows: list[SparseVec]) -> int:
     return len(pivots)
 
 
-def _back_reduce(pivots: list[tuple[int, int]], rows: list[SparseVec]) -> None:
+def _back_reduce(
+    pivots: list[tuple[int, int]],
+    rows: list[SparseVec],
+    side: list[SparseVec] | None = None,
+) -> None:
     """Clear every later pivot column from each pivot row of `_eliminate`,
-    in place, so each keeps only its own pivot and free columns.
+    in place, so each keeps only its own pivot and free columns.  Side
+    vectors, when given, receive the same row operations.
 
     Rows are handled in reverse pivot order; a row already handled holds no
     other pivot column, so subtracting it from an earlier row brings in free
-    columns only.  Integer cross-multiplication, content stripped per row.
+    columns only.  Integer cross-multiplication, content stripped per row
+    (jointly with its side vector).
     """
     row_of = dict(pivots)
     for c, i in reversed(pivots):
         row = rows[i]
         for cp in [cc for cc in row if cc != c and cc in row_of]:
-            other = rows[row_of[cp]]
-            p, a = other[cp], row[cp]
+            k = row_of[cp]
+            p, a = rows[k][cp], row[cp]
             g = gcd(p, a)
             mp, ma = p // g, a // g
-            new: SparseVec = {cc: mp * v for cc, v in row.items()}
-            for cc, v in other.items():
-                acc = new.get(cc, 0) - ma * v
-                if acc:
-                    new[cc] = acc
-                else:
-                    del new[cc]
-            row = new
-        rows[i], _ = _strip_content(row)
+            row = _cross(mp, row, ma, rows[k])
+            if side is not None:
+                side[i] = _cross(mp, side[i], ma, side[k])
+        if side is None:
+            rows[i], _ = _strip_content(row)
+        else:
+            rows[i], side[i] = strip_joint_content(row, side[i])
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return (-num, -den) if den < 0 else (num, den)
 
 
 def kernel_int_columns(
@@ -275,23 +229,14 @@ def kernel_int_columns(
     gives a primitive integer vector.
     """
     ncols = len(columns) if ncols_hint is None else ncols_hint
-    rows: dict[int, SparseVec] = {}
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
-    pivots, reduced, _ = _eliminate(list(rows.values()))
+    pivots, reduced, _ = _eliminate(list(_rows_of(columns).values()))
     _back_reduce(pivots, reduced)
     touching: dict[int, list[tuple[int, int, int]]] = {}
     for c, i in pivots:
         row = reduced[i]
-        p = row[c]
         for f, v in row.items():
             if f != c:
-                g = gcd(v, p)
-                num, den = -v // g, p // g
-                if den < 0:
-                    num, den = -num, -den
-                touching.setdefault(f, []).append((c, num, den))
+                touching.setdefault(f, []).append((c, *_lowest_terms(-v, row[c])))
     pivot_cols = {c for c, _ in pivots}
     out: list[SparseVec] = []
     for f in range(ncols):
@@ -308,31 +253,48 @@ def kernel_int_columns(
     return out
 
 
-def solve_rows(
-    rows: list[SparseVec],
-    b: SparseVec,
-    nunknowns: int,
-) -> list[Fraction] | None:
-    """Solve (rows as the matrix) . x = b exactly; None when inconsistent.
-    Free unknowns are set to zero."""
-    rhs = [{0: b[r]} if r in b else {} for r in range(len(rows))]
-    pivots, reduced, side = _eliminate(rows, rhs)
-    assert side is not None
+def solve_into(
+    columns: list[SparseVec],
+    targets: list[SparseVec],
+    modulo: list[SparseVec] = (),
+) -> list[tuple[SparseVec, int] | None]:
+    """Solve A x = b modulo the span of `modulo`, for every target b at once,
+    where A has the given columns; one elimination serves all targets.
+
+    Per target: None when b is not reachable, else (x, den) with den > 0 and
+    x a sparse integer vector over the positions of `columns`, keys
+    increasing, such that A x - den * b lies in the span of `modulo`.  Free
+    unknowns are zero, so after back-reduction of [A | modulo] each pivot
+    row gives its unknown directly as side / pivot; den is the lcm of the
+    denominators over the columns of A.
+    """
+    ncols = len(columns)
+    rows = _rows_of(chain(columns, modulo))
+    rhs: dict[int, SparseVec] = {}
+    for t, b in enumerate(targets):
+        for r, v in b.items():
+            rows.setdefault(r, {})
+            rhs.setdefault(r, {})[t] = v
+    order = list(rows)
+    pivots, reduced, side = _eliminate(
+        [rows[r] for r in order], [rhs.get(r, {}) for r in order]
+    )
+    _back_reduce(pivots, reduced, side)
     pivot_rows = {i for _, i in pivots}
-    for i in range(len(rows)):
-        if i not in pivot_rows and side[i]:
-            return None
-    x: dict[int, Fraction] = {}
-    for c, i in reversed(pivots):
-        row = reduced[i]
-        acc = Fraction(side[i].get(0, 0))
-        for cc, v in row.items():
-            if cc != c:
-                xv = x.get(cc)
-                if xv is not None:
-                    acc -= v * xv
-        x[c] = acc / row[c] if acc else Fraction(0)
-    return [x.get(c, Fraction(0)) for c in range(nunknowns)]
+    unreachable = {t for i, b in enumerate(side) if i not in pivot_rows for t in b}
+    parts: list[dict[int, tuple[int, int]]] = [{} for _ in targets]
+    for c, i in sorted(pivots):
+        if c < ncols:
+            for t, v in side[i].items():
+                parts[t][c] = _lowest_terms(v, reduced[i][c])
+    out: list[tuple[SparseVec, int] | None] = []
+    for t, part in enumerate(parts):
+        if t in unreachable:
+            out.append(None)
+            continue
+        den = lcm(*(q for _, q in part.values()))
+        out.append(({c: num * (den // q) for c, (num, q) in part.items()}, den))
+    return out
 
 
 # -- incremental exact echelon ------------------------------------------------
@@ -375,14 +337,7 @@ class IntEchelon:
                 mp, ma = p // g, a // g
                 if mp < 0:
                     mp, ma = -mp, -ma
-                nv: SparseVec = {cc: mp * x for cc, x in v.items()}
-                for cc, x in row.items():
-                    acc = nv.get(cc, 0) - ma * x
-                    if acc:
-                        nv[cc] = acc
-                    else:
-                        nv.pop(cc, None)
-                v = nv
+                v = _cross(mp, v, ma, row)
                 scale *= mp
             if not v:
                 break
@@ -419,9 +374,6 @@ class IntEchelon:
         res, _ = self.reduce_full(vec)
         return not res
 
-    def basis_rows(self) -> list[SparseVec]:
-        return [dict(self.rows[c]) for c in sorted(self.rows)]
-
 
 def combo_kernel(vectors: list[SparseVec], echelon: IntEchelon) -> list[SparseVec]:
     """Coefficient vectors c such that sum_a c[a] * vectors[a] lies in the
@@ -435,113 +387,6 @@ def combo_kernel(vectors: list[SparseVec], echelon: IntEchelon) -> list[SparseVe
         scales.append(s)
     raw = kernel_int_columns(residuals, ncols_hint=len(vectors))
     return [vec_from_fractions({a: v * scales[a] for a, v in b.items()})[0] for b in raw]
-
-
-# -- canonical subspaces -------------------------------------------------------
-
-
-class Subspace:
-    """Subspace of Q^ambient in canonical form: integer basis rows in fully
-    reduced echelon form with positive pivots, pivot columns increasing.
-    Equality of subspaces is plain data comparison."""
-
-    __slots__ = ("ambient_dim", "basis", "pivots")
-
-    def __init__(self, ambient_dim: int, vectors=()):  # vectors: sparse dicts or dense
-        ech = IntEchelon(ambient_dim)
-        for v in vectors:
-            if not isinstance(v, dict):
-                v, _ = vec_from_fractions(v)
-            ech.add(v)
-        self.ambient_dim = ambient_dim
-        basis, pivots = _canonical_rows(ech)
-        self.basis = basis
-        self.pivots = pivots
-
-    @classmethod
-    def _from_echelon(cls, ech: IntEchelon) -> "Subspace":
-        s = cls.__new__(cls)
-        s.ambient_dim = ech.ncols
-        s.basis, s.pivots = _canonical_rows(ech)
-        return s
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vec) -> bool:
-        if not isinstance(vec, dict):
-            vec, _ = vec_from_fractions(vec)
-        v = dict(vec)
-        for pivot, row in zip(self.pivots, self.basis):
-            a = v.get(pivot)
-            if not a:
-                continue
-            p = row[pivot]
-            g = gcd(p, a)
-            mp, ma = p // g, a // g
-            nv = {c: mp * x for c, x in v.items()}
-            for c, x in row.items():
-                acc = nv.get(c, 0) - ma * x
-                if acc:
-                    nv[c] = acc
-                else:
-                    nv.pop(c, None)
-            v = nv
-        return not v
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.pivots))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _canonical_rows(ech: IntEchelon) -> tuple[tuple[SparseVec, ...], tuple[int, ...]]:
-    """Fully reduce echelon rows against each other; strip content, make
-    pivots positive. The result is the unique reduced basis of the span."""
-    pivots = sorted(ech.rows)
-    rows = {c: dict(ech.rows[c]) for c in pivots}
-    for c in reversed(pivots):
-        row = rows[c]
-        for c2 in pivots:
-            if c2 <= c:
-                continue
-            a = row.get(c2)
-            if not a:
-                continue
-            other = rows[c2]
-            p = other[c2]
-            g = gcd(p, a)
-            mp, ma = p // g, a // g
-            if mp < 0:
-                mp, ma = -mp, -ma
-            row = {cc: mp * x for cc, x in row.items()}
-            for cc, x in other.items():
-                acc = row.get(cc, 0) - ma * x
-                if acc:
-                    row[cc] = acc
-                else:
-                    row.pop(cc, None)
-        row, _ = _strip_content(row)
-        if row[c] < 0:
-            row = {cc: -x for cc, x in row.items()}
-        rows[c] = row
-    return tuple(rows[c] for c in pivots), tuple(pivots)
 
 
 # -- modular fast path --------------------------------------------------------
@@ -622,85 +467,3 @@ class ModularSpan:
                 B[sel] = (B[sel] - np.outer(coeffs[sel], self.pivot_rows[i])) % p
         r, _ = _echelon_mod_inplace(B, p)
         return r
-
-
-# -- public operations ---------------------------------------------------------
-
-
-def rank(A: SparseMatrix, exact: bool = False, primes=DEFAULT_PRIMES) -> int:
-    """Rank of A.  By default reduces modulo two fixed primes and falls back
-    to exact elimination when they disagree; exact=True forces the exact
-    path straight away."""
-    cols = A.int_columns()
-    if exact:
-        return rank_exact_rows(cols)
-    r0 = rank_mod(cols, A.rows, primes[0])
-    r1 = rank_mod(cols, A.rows, primes[1])
-    if r0 == r1:
-        return r0
-    return rank_exact_rows(cols)
-
-
-def kernel(A: SparseMatrix) -> Subspace:
-    """Exact kernel of A as a canonical subspace of Q^cols."""
-    # per-column rescaling changes the kernel coordinates; undo it per entry
-    cols: list[SparseVec] = []
-    scales: list[Fraction] = []
-    for col in A.coldata:
-        v, s = vec_from_fractions(col)
-        cols.append(v)
-        scales.append(s)
-    vectors = kernel_int_columns(cols, ncols_hint=A.cols)
-    fixed = [{c: v * scales[c] for c, v in y.items()} for y in vectors]
-    return Subspace(A.cols, [vec_from_fractions(f)[0] for f in fixed])
-
-
-def image(A: SparseMatrix) -> Subspace:
-    """Column span of A as a canonical subspace of Q^rows."""
-    return Subspace(A.rows, A.int_columns())
-
-
-def solve_into(A: SparseMatrix, b, modulo: Subspace | None = None):
-    """x with A x = b, or A x = b modulo the given subspace of the target.
-    Returns a list of Fractions, or NO_SOLUTION."""
-    bvec, bscale = vec_from_fractions(b)
-    columns: list[SparseVec] = []
-    colscales: list[Fraction] = []
-    for col in A.coldata:
-        v, s = vec_from_fractions(col)
-        columns.append(v)
-        colscales.append(s)
-    extra: list[SparseVec] = []
-    if modulo is not None:
-        if modulo.ambient_dim != A.rows:
-            raise ValueError("modulo subspace must live in the target space")
-        extra = [dict(row) for row in modulo.basis]
-    allcols = columns + extra
-    rows: dict[int, SparseVec] = {}
-    for c, col in enumerate(allcols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
-    row_list: list[SparseVec] = []
-    bshift: SparseVec = {}
-    row_index: dict[int, int] = {}
-    for r, row in rows.items():
-        row_index[r] = len(row_list)
-        row_list.append(row)
-    for r, v in bvec.items():
-        if r not in row_index:
-            if v:
-                return NO_SOLUTION
-            continue
-        bshift[row_index[r]] = v
-    sol = solve_rows(row_list, bshift, len(allcols))
-    if sol is None:
-        return NO_SOLUTION
-    # we solved (scale_c * A_c) x' = bscale * b, so x_c = x'_c * scale_c / bscale
-    return [sol[c] * colscales[c] / bscale for c in range(A.cols)]
-
-
-def quotient_dim(ambient_dim: int, rel: Subspace) -> int:
-    """Dimension of ambient / rel."""
-    if rel.ambient_dim != ambient_dim:
-        raise ValueError("relation subspace has wrong ambient dimension")
-    return ambient_dim - rel.dim

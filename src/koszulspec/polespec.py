@@ -15,21 +15,19 @@ no use of the modular fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .decomp import AssumptionFailure, InvariantTable
 from .koszul import KoszulWindow, assumption_evidence
 from .linalg import (
-    NO_SOLUTION,
     IntEchelon,
-    SparseMatrix,
     SparseVec,
-    Subspace,
     combo_kernel,
     kernel_int_columns,
     solve_into,
+    strip_joint_content,
 )
 
 
@@ -113,8 +111,6 @@ class SubquotientState:
         self.image_dims: dict[tuple[int, int], int] = {}
         self.mu_hist: dict[int, list[int]] = {}
         self.nu_hist: dict[int, list[int]] = {}
-        self._wsub: dict[int, Subspace | None] = {}
-        self._cyc_cols: dict[int, list[SparseVec]] = {}
         self._done: set[tuple[int, int]] = set()
         self._build()
 
@@ -129,7 +125,6 @@ class SubquotientState:
                 ech.add_many(win.wedge_columns(n - 1, k - d))
             self.rel[k] = ech
             self.wlift[k] = []
-            self._wsub[k] = None
             if win.dim(n, k) - ech.dim != win.mu(k):
                 win.promote_exact(n - 1, k - d)
                 if win.dim(n, k) - ech.dim != win.mu(k):
@@ -138,7 +133,6 @@ class SubquotientState:
             m = k - d
             cols = win.wedge_columns(n - 1, m)
             cyc = kernel_int_columns(cols, ncols_hint=win.dim(n - 1, m))
-            self._cyc_cols[k] = cyc
             if not cyc:
                 continue
             bnd = win.wedge_columns(n - 2, m - d) if m >= d else []
@@ -178,31 +172,7 @@ class SubquotientState:
     def _nu_row(self) -> list[int]:
         return [len(self.gens.get(k, ())) for k in range(self.win.k_max + 1)]
 
-    # -- subspace views -----------------------------------------------------------
-
-    def cycles(self, k: int) -> Subspace:
-        """Z at grading k, inside (n-1)-forms of ambient degree k-d."""
-        dim = self.win.dim(self.win.n - 1, k - self.win.d)
-        return Subspace(dim, self._cyc_cols.get(k, ()))
-
-    def boundaries(self, k: int) -> Subspace:
-        win = self.win
-        m = k - win.d
-        dim = win.dim(win.n - 1, m)
-        cols = win.wedge_columns(win.n - 2, m - win.d) if m >= win.d else []
-        return Subspace(dim, cols)
-
-    def kernel_space(self, k: int) -> Subspace:
-        """Current-stage kernel at grading k: boundaries plus survivors."""
-        win = self.win
-        m = k - win.d
-        dim = win.dim(win.n - 1, m)
-        cols = list(win.wedge_columns(win.n - 2, m - win.d)) if m >= win.d else []
-        cols.extend(g.rep for g in self.gens.get(k, ()))
-        return Subspace(dim, cols)
-
-    def relations(self, k: int) -> Subspace:
-        return Subspace._from_echelon(self.rel[k])
+    # -- dimensions ------------------------------------------------------------
 
     def m_dim(self, k: int) -> int:
         return self.win.dim(self.win.n, k) - self.rel[k].dim
@@ -211,17 +181,6 @@ class SubquotientState:
         return len(self.gens.get(k, ()))
 
     # -- stage passes ---------------------------------------------------------
-
-    def _adjustment_space(self, j: int) -> Subspace | None:
-        if not self.wlift[j]:
-            return None
-        if self._wsub[j] is None:
-            win = self.win
-            dvecs = [
-                _apply_derivative(win, win.n - 1, j, w) for w in self.wlift[j]
-            ]
-            self._wsub[j] = Subspace(win.dim(win.n, j), dvecs)
-        return self._wsub[j]
 
     def advance_degree(self, k: int) -> int:
         """Apply the stage-`stage` differential to the generators at grading
@@ -247,32 +206,20 @@ class SubquotientState:
         kerco = combo_kernel(values, self.rel[j])
         new_gens: list[_Gen] = []
         if kerco:
-            wedge = SparseMatrix.from_columns(
-                win.dim(n, j), win.wedge_columns(n - 1, j - d)
-            )
-            modulo = self._adjustment_space(j)
-            for c in kerco:
-                v_c = _combine(values, c)
-                rep_c = _combine([g.rep for g in glist], c)
-                x = solve_into(wedge, v_c, modulo=modulo)
-                if x is NO_SOLUTION:
+            # lift every kernel combination through df wedge at once, modulo
+            # the derivatives of the lifts already used at j
+            adjust = [_apply_derivative(win, n - 1, j, w) for w in self.wlift[j]]
+            targets = [_combine(values, c) for c in kerco]
+            sols = solve_into(win.wedge_columns(n - 1, j - d), targets, adjust)
+            reps = [g.rep for g in glist]
+            for c, sol in zip(kerco, sols):
+                if sol is None:
                     raise LiftFailure(
                         f"no lift at stage {r}, grading {k} -> degree {j}"
                     )
-                denom = 1
-                for v in x:
-                    if v:
-                        denom = denom * v.denominator // gcd(denom, v.denominator)
-                lift = {i: int(v * denom) for i, v in enumerate(x) if v}
-                rep = {i: denom * v for i, v in rep_c.items()}
-                g0 = 0
-                for v in lift.values():
-                    g0 = gcd(g0, v)
-                for v in rep.values():
-                    g0 = gcd(g0, v)
-                if g0 > 1:
-                    lift = {i: v // g0 for i, v in lift.items()}
-                    rep = {i: v // g0 for i, v in rep.items()}
+                lift, den = sol
+                rep = {i: den * v for i, v in _combine(reps, c).items()}
+                lift, rep = strip_joint_content(lift, rep)
                 new_gens.append(
                     _Gen(rep=rep, lift=lift,
                          value=_apply_derivative(win, n - 1, j - d, lift))
@@ -280,7 +227,6 @@ class SubquotientState:
         # commit: the processed lifts become adjustment freedom and their
         # derivatives become relations, both only for later stages
         self.wlift[j].extend(g.lift for g in glist)
-        self._wsub[j] = None
         self.rel[j].add_many(values)
         if new_gens:
             self.gens[k] = new_gens
@@ -300,65 +246,6 @@ class SubquotientState:
         self.mu_hist[self.stage] = self._mu_row()
         self.nu_hist[self.stage] = self._nu_row()
         return total
-
-
-# -- public per-degree operations ------------------------------------------------
-
-
-def d1_rank(win: KoszulWindow, k: int) -> tuple[int, Subspace, Subspace]:
-    """Rank of the derivative-induced map from N at grading k into M at
-    degree k-d, together with its kernel (a subspace between boundaries and
-    cycles) and the enlarged relation space at k-d."""
-    if k > win.k_max:
-        raise ValueError(f"grading {k} outside window 0..{win.k_max}")
-    n, d = win.n, win.d
-    m = k - d
-    src_dim = win.dim(n - 1, m)
-    tgt_dim = win.dim(n, m)
-    rel1 = IntEchelon(tgt_dim)
-    if m >= d:
-        rel1.add_many(win.wedge_columns(n - 1, m - d))
-    bnd = win.wedge_columns(n - 2, m - d) if m >= d else []
-    for b in bnd:
-        if not rel1.contains(_apply_derivative(win, n - 1, m, b)):
-            raise WellDefinednessViolation(
-                f"derivative of a boundary escapes relations at degree {m}"
-            )
-    cyc = (
-        kernel_int_columns(win.wedge_columns(n - 1, m), ncols_hint=src_dim)
-        if m >= n - 1 else []
-    )
-    bech = IntEchelon(src_dim)
-    bech.add_many(bnd)
-    reps = []
-    for z in cyc:
-        res, _ = bech.reduce_full(z)
-        if res and bech.add(res):
-            reps.append(res)
-    values = [_apply_derivative(win, n - 1, m, g) for g in reps]
-    rank = rel1.added_rank(values)
-    kerco = combo_kernel(values, rel1)
-    ker_cols = list(bnd)
-    for c in kerco:
-        ker_cols.append(_combine(reps, c))
-    rel1.add_many(values)
-    return rank, Subspace(src_dim, ker_cols), Subspace._from_echelon(rel1)
-
-
-def dr_step(
-    state: SubquotientState, r: int, k: int
-) -> tuple[int, Subspace, Subspace, int]:
-    """One higher differential at one grading degree: stage r applied to the
-    generators at k.  Returns (rank, new kernel at k, relations at k - r*d,
-    image dimension); the state is updated in place."""
-    if r < 2:
-        raise ValueError("dr_step starts at stage 2; use d1_rank for stage 1")
-    if r != state.stage:
-        raise ValueError(f"state is at stage {state.stage}, not {r}")
-    added = state.advance_degree(k)
-    j = k - r * state.win.d
-    rel = state.relations(j) if 0 <= j <= state.win.k_max else Subspace(0)
-    return added, state.kernel_space(k), rel, added
 
 
 # -- spectrum and torsion profile --------------------------------------------------
@@ -413,9 +300,8 @@ class _TowerResult:
 
 
 def _run_tower(win: KoszulWindow) -> _TowerResult:
-    cached = getattr(win, "_tower_result", None)
-    if cached is not None:
-        return cached
+    if win._tower_result is not None:
+        return win._tower_result
     evidence = assumption_evidence(win)
     if not evidence.passed:
         raise AssumptionFailure(evidence)

@@ -8,11 +8,12 @@ caches its own result on the window object.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from koszulspec.closedform import BinaryFormFactorization
 from koszulspec.decomp import build_invariant_table
 from koszulspec.koszul import KoszulWindow
-from koszulspec.linalg import SparseMatrix, rank
+from koszulspec.linalg import DEFAULT_PRIMES, rank_exact_rows, rank_mod
 from koszulspec.poly import HomogeneousPoly, parse_poly, serialize_poly
 
 VARS2 = ("x", "y")
@@ -185,27 +186,35 @@ WEIGHTED_HOMOGENEOUS = [
 
 
 def random_sparse(rng, rows, cols, density=0.4):
-    m = SparseMatrix(rows, cols)
+    """Integer columns of a random sparse rational matrix: the entries are
+    drawn as fractions, row by row, and each column is then cleared of
+    denominators, which keeps its rank."""
+    fracs = [dict() for _ in range(cols)]
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
                 num = rng.randint(-9, 9)
                 den = rng.choice([1, 1, 1, 2, 3])
                 if num:
-                    m.set(r, c, Fraction(num, den))
-    return m
+                    fracs[c][r] = Fraction(num, den)
+    columns = []
+    for col in fracs:
+        scale = lcm(*(v.denominator for v in col.values()))
+        columns.append({r: int(v * scale) for r, v in col.items()})
+    return columns
 
 
-def dense_rank(m):
+def dense_rank(columns, nrows):
     """Plain fraction Gaussian elimination; independent of the library code."""
-    a = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    ncols = len(columns)
+    a = [[Fraction(columns[c].get(r, 0)) for c in range(ncols)] for r in range(nrows)]
     rk, row = 0, 0
-    for col in range(m.cols):
-        piv = next((i for i in range(row, m.rows) if a[i][col]), None)
+    for col in range(ncols):
+        piv = next((i for i in range(row, nrows) if a[i][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        for i in range(m.rows):
+        for i in range(nrows):
             if i != row and a[i][col]:
                 f = a[i][col] / a[row][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[row])]
@@ -214,15 +223,20 @@ def dense_rank(m):
     return rk
 
 
+def modular_ranks(columns, nrows):
+    """Ranks modulo each of the two fixed primes."""
+    return tuple(rank_mod(columns, nrows, p) for p in DEFAULT_PRIMES)
+
+
 def modular_rank_agreement(count=100, seed=20260825):
-    """Number of random matrices where the modular fast path, the exact
-    path, and a dense oracle all agree on the rank."""
+    """Number of random matrices where the rank modulo each fixed prime, the
+    exact rank, and a dense oracle all agree."""
     rng = random.Random(seed)
     agree = 0
     for _ in range(count):
-        m = random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8))
-        r_fast = rank(m)
-        r_exact = rank(m, exact=True)
-        if r_fast == r_exact == dense_rank(m):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        cols = random_sparse(rng, nrows, ncols)
+        r_exact = rank_exact_rows(cols)
+        if modular_ranks(cols, nrows) == (r_exact, r_exact) and r_exact == dense_rank(cols, nrows):
             agree += 1
     return agree

@@ -166,6 +166,14 @@ def test_check_closed_form_oracle(capsys):
     )
     assert code == 0
     assert "closed-form oracle: ok" in out
+    # the oracle comparison and the bounds share one tower
+    code, out, _ = run(
+        capsys, "check", "x^2*y^2", "-v", "x,y", "--binary-form", "x:2,y:2",
+        "--alpha-min", "1/2",
+    )
+    assert code == 0
+    assert "closed-form oracle: ok" in out
+    assert "bound: low-exponent multiplicity law ok" in out
 
 
 def test_check_oracle_mismatch_fails(capsys):
@@ -218,6 +226,34 @@ def test_check_corpus_reports_failures(tmp_path, capsys):
     assert out.count("FAIL") == 1
 
 
+def test_check_corpus_keeps_going_past_a_bad_entry(tmp_path, capsys):
+    """An entry that fails its preconditions is reported and the run goes
+    on; the exit code is the worst class seen."""
+    entries = [
+        {"input": "x*y*z", "vars": "x,y,z"},
+        {"input": "x^2*y", "vars": "x,y,z"},
+        {"input": "x^3 + y^3 + z^3", "vars": "x,y,z"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    code, out, _ = run(capsys, "check", "--corpus", str(path))
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS x*y*z:")
+    assert lines[1].startswith("ERROR x^2*y:") and lines[1].endswith("(exit 3)")
+    assert lines[2].startswith("PASS x^3 + y^3 + z^3:")
+    assert lines[3] == "corpus: 3 records, 2 passed, 0 failed, 1 errors"
+    # malformed entries are input errors of their own line
+    path.write_text('{"input": "x*y*z", "vars": 5}\n{"input": "x*y*z", "k_max": "9"}\n[1]\n{"inp')
+    code, out, _ = run(capsys, "check", "--corpus", str(path))
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith("ERROR x*y*z:") and "variables" in lines[0]
+    assert lines[1].startswith("ERROR x*y*z:") and "k_max" in lines[1]
+    assert lines[2].startswith("ERROR line 3:") and lines[3].startswith("ERROR line 4:")
+    assert lines[4] == "corpus: 4 records, 0 passed, 0 failed, 4 errors"
+
+
 def test_catalog_append_and_verify(tmp_path, capsys):
     cat = tmp_path / "catalog.jsonl"
     run(capsys, "invariants", "x*y*z", "--catalog", str(cat))
@@ -252,6 +288,28 @@ def test_catalog_skips_other_versions(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--catalog", str(cat))
     assert code == 0
     assert "2 records, 1 verified, 1 skipped" in out
+
+
+def test_catalog_errors_name_the_line(tmp_path, capsys):
+    cat = tmp_path / "catalog.jsonl"
+    run(capsys, "invariants", "x*y*z", "--catalog", str(cat))
+    good = cat.read_text()
+    rec = json.loads(good)
+    del rec["variables"]
+    cat.write_text(good + "\n" + json.dumps(rec) + "\n")
+    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    assert code == 2
+    assert "catalog line 3:" in err and "variables" in err
+    cat.write_text(good + good[: len(good) // 2] + "\n")
+    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    assert code == 2
+    assert "catalog line 2:" in err
+    rec = json.loads(good)
+    rec["k_max"] = "12"
+    cat.write_text(json.dumps(rec) + "\n")
+    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    assert code == 2
+    assert "catalog line 1:" in err and "k_max" in err
 
 
 def test_exit_parse_error(capsys):

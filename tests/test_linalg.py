@@ -1,24 +1,16 @@
-"""Exact sparse linear algebra: ranks, kernels, canonical subspaces."""
+"""Exact sparse linear algebra: ranks, kernels, spans and lift solves."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 import support
 from koszulspec.linalg import (
-    NO_SOLUTION,
     IntEchelon,
     ModularSpan,
-    SparseMatrix,
-    Subspace,
     DEFAULT_PRIMES,
     combo_kernel,
-    image,
-    kernel,
     kernel_int_columns,
-    rank,
     rank_exact_rows,
     solve_into,
     vec_from_fractions,
@@ -27,33 +19,37 @@ from koszulspec.linalg import (
 F = Fraction
 
 
-def _matvec(m, coeffs):
-    """m times a coefficient list, as a dense Fraction list."""
-    out = [F(0)] * m.rows
-    for c, a in enumerate(coeffs):
-        if not a:
-            continue
-        for r, v in m.coldata[c].items():
-            out[r] += a * v
-    return out
+def _matvec(columns, x):
+    """sum_c x[c] * columns[c] as a sparse dict without zero entries."""
+    out = {}
+    for c, a in x.items():
+        for r, v in columns[c].items():
+            out[r] = out.get(r, 0) + a * v
+    return {r: v for r, v in out.items() if v}
+
+
+def _ranks(columns, nrows):
+    """(rank mod p0, rank mod p1, exact rank)."""
+    return (*support.modular_ranks(columns, nrows), rank_exact_rows(columns))
 
 
 def test_small_rank_values():
-    m = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4})
-    assert rank(m) == 1
-    m.set(1, 1, 5)
-    assert rank(m) == 2
-    assert rank(SparseMatrix(3, 4)) == 0
+    assert _ranks([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == (1, 1, 1)
+    assert _ranks([{0: 1, 1: 2}, {0: 2, 1: 5}], 2) == (2, 2, 2)
+    assert _ranks([{}] * 4, 3) == (0, 0, 0)
 
 
 def test_rank_fractional_entries():
-    m = SparseMatrix(2, 2, {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 0): F(3, 2), (1, 1): 1})
-    assert rank(m) == rank(m, exact=True) == support.dense_rank(m)
+    cols = [
+        vec_from_fractions({0: F(1, 2), 1: F(3, 2)})[0],
+        vec_from_fractions({0: F(1, 3), 1: F(1)})[0],
+    ]
+    assert _ranks(cols, 2) == (1, 1, support.dense_rank(cols, 2))
 
 
 def test_rank_modular_vs_exact_randomized():
-    """Fast-path ranks, exact ranks and a dense oracle agree on 100
-    randomized matrices."""
+    """Ranks modulo each fixed prime, exact ranks and a dense oracle agree
+    on 100 randomized matrices."""
     agree = support.modular_rank_agreement(count=100, seed=20260825)
     print("modular/exact rank agreement:", agree, "/ 100")
     assert agree == 100
@@ -62,108 +58,149 @@ def test_rank_modular_vs_exact_randomized():
 def test_rank_invariant_under_permutation():
     rng = random.Random(3)
     for _ in range(15):
-        m = support.random_sparse(rng, rng.randint(2, 7), rng.randint(2, 7))
-        rows = list(range(m.rows))
-        cols = list(range(m.cols))
+        nrows, ncols = rng.randint(2, 7), rng.randint(2, 7)
+        m = support.random_sparse(rng, nrows, ncols)
+        rows = list(range(nrows))
+        cols = list(range(ncols))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        p = SparseMatrix(m.rows, m.cols)
-        for (r, c), v in m.entries.items():
-            p.set(rows[r], cols[c], v)
-        assert rank(p) == rank(m)
+        p = [None] * ncols
+        for c, col in enumerate(m):
+            p[cols[c]] = {rows[r]: v for r, v in col.items()}
+        assert _ranks(p, nrows) == _ranks(m, nrows)
 
 
 def test_rank_invariant_under_row_scaling():
     rng = random.Random(4)
     m = support.random_sparse(rng, 6, 6)
-    s = SparseMatrix(6, 6)
-    for (r, c), v in m.entries.items():
-        s.set(r, c, v * F(r + 1, 7))
-    assert rank(s) == rank(m)
+    s = [vec_from_fractions({r: v * F(r + 1, 7) for r, v in col.items()})[0] for col in m]
+    assert _ranks(s, 6) == _ranks(m, 6)
 
 
 def test_kernel_annihilates():
     rng = random.Random(5)
     for _ in range(10):
-        m = support.random_sparse(rng, rng.randint(2, 6), rng.randint(2, 6))
-        ker = kernel(m)
-        assert ker.dim == m.cols - rank(m)
-        for row in ker.basis:
-            coeffs = [row.get(c, 0) for c in range(m.cols)]
-            assert all(v == 0 for v in _matvec(m, coeffs))
+        nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
+        m = support.random_sparse(rng, nrows, ncols)
+        ker = kernel_int_columns(m)
+        assert len(ker) == ncols - rank_exact_rows(m)
+        for vec in ker:
+            assert _matvec(m, vec) == {}
 
 
 def test_image_contains_columns():
     rng = random.Random(6)
     m = support.random_sparse(rng, 5, 7)
-    im = image(m)
-    assert im.dim == rank(m)
-    for c in range(m.cols):
-        # dense lists may carry fractions; sparse dicts are integer-only
-        assert im.contains([m.get(r, c) for r in range(m.rows)])
-
-
-def test_subspace_canonical_equality():
-    # same span reached through different generators and scalings
-    a = Subspace(3, [{0: 1, 1: 1}, {1: 2}])
-    b = Subspace(3, [{1: -7}, {0: 3, 1: -5}, {0: 6, 1: 2}])
-    assert a == b
-    assert a.dim == 2
-    assert hash(a) == hash(b)
-    c = Subspace(3, [{0: 1}, {2: 1}])
-    assert a != c
-
-
-def test_subspace_accepts_dense_rational_vectors():
-    a = Subspace(3, [[F(1, 2), F(1, 2), 0]])
-    b = Subspace(3, [{0: 1, 1: 1}])
-    assert a == b
+    im = IntEchelon(5)
+    im.add_many(m)
+    assert im.dim == rank_exact_rows(m)
+    for col in m:
+        # a column scaled by a fraction spans the same line once cleared
+        assert im.contains(col)
+        assert im.contains(vec_from_fractions({r: F(v, 6) for r, v in col.items()})[0])
 
 
 def test_subspace_contains_and_sum():
-    s = Subspace(4, [{0: 1, 2: 2}])
+    s = IntEchelon(4)
+    s.add({0: 1, 2: 2})
     assert s.contains({0: 3, 2: 6})
-    assert s.contains([F(1, 2), 0, F(1), 0])
+    assert s.contains(vec_from_fractions([F(1, 2), 0, F(1), 0])[0])
     assert not s.contains({0: 1})
-    t = Subspace(4, [{1: 1}])
-    u = s.sum(t)
-    assert u.dim == 2
-    assert u.contains({0: 2, 1: 5, 2: 4})
-    with pytest.raises(ValueError):
-        s.sum(Subspace(3, [{0: 1}]))
+    s.add({1: 1})
+    assert s.dim == 2
+    assert s.contains({0: 2, 1: 5, 2: 4})
 
 
 def test_solve_into_reproduces_target():
-    m = SparseMatrix(3, 2, {(0, 0): 1, (1, 0): 2, (1, 1): 1, (2, 1): 3})
-    b = {0: F(2), 1: F(5), 2: F(3)}
-    x = solve_into(m, b)
-    assert x is not NO_SOLUTION
-    got = _matvec(m, x)
-    assert got == [b.get(r, F(0)) for r in range(3)]
+    cols = [{0: 1, 1: 2}, {1: 1, 2: 3}]
+    b = {0: 2, 1: 5, 2: 3}
+    [sol] = solve_into(cols, [b])
+    assert sol is not None
+    x, den = sol
+    assert den > 0
+    assert _matvec(cols, x) == {r: den * v for r, v in b.items()}
 
 
 def test_solve_into_unreachable():
-    m = SparseMatrix(2, 1, {(0, 0): 1})
-    assert solve_into(m, {1: F(1)}) is NO_SOLUTION
+    assert solve_into([{0: 1}], [{1: 1}]) == [None]
+    # a target row no column touches, next to a reachable target
+    assert solve_into([{0: 1}], [{0: 3}, {1: 1}]) == [({0: 3}, 1), None]
 
 
 def test_solve_into_modulo():
     # unreachable on the nose, solvable modulo the second axis
-    m = SparseMatrix(2, 1, {(0, 0): 1})
-    w = Subspace(2, [{1: 1}])
-    x = solve_into(m, {0: F(2), 1: F(9)}, modulo=w)
-    assert x is not NO_SOLUTION
-    got = _matvec(m, x)
-    assert w.contains([got[0] - 2, got[1] - 9])
+    [sol] = solve_into([{0: 1}], [{0: 2, 1: 9}], modulo=[{1: 1}])
+    assert sol is not None
+    x, den = sol
+    assert _matvec([{0: 1}], x) == {0: 2 * den}
 
 
 def test_solve_into_fractional_columns():
     """Column content must not leak into the solution."""
-    m = SparseMatrix(2, 2, {(0, 0): F(1, 2), (1, 1): F(2, 3)})
-    b = {0: F(1), 1: F(1)}
-    x = solve_into(m, b)
-    assert x == [F(2), F(3, 2)]
-    assert _matvec(m, x) == [F(1), F(1)]
+    cols = [{0: 4}, {1: 6}]
+    [sol] = solve_into(cols, [{0: 2, 1: 9}])
+    assert sol == ({0: 1, 1: 3}, 2)
+    assert _matvec(cols, sol[0]) == {0: 4, 1: 18}
+
+
+def test_solve_into_property():
+    """Several targets per system, entries up to p0*p1, some targets
+    reachable only modulo the extra columns: A x - den * b lies in their
+    span exactly, and unreachable targets give None."""
+    rng = random.Random(20261019)
+    p0p1 = DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]
+
+    def entry():
+        if rng.random() < 0.15:
+            return rng.choice((1, -1, 2)) * p0p1
+        return rng.randint(-5, 5) if rng.random() < 0.5 else 0
+
+    def vec(nrows):
+        return {r: v for r in range(nrows) if (v := entry())}
+
+    def combo(vectors):
+        out = {}
+        for v in vectors:
+            a = rng.randint(-3, 3)
+            for r, x in v.items():
+                out[r] = out.get(r, 0) + a * x
+        return {r: x for r, x in out.items() if x}
+
+    seen = {"direct": 0, "modulo": 0, "none": 0}
+    for _ in range(60):
+        nrows = rng.randint(2, 9)
+        cols = [vec(nrows) for _ in range(rng.randint(1, 6))]
+        extra = [vec(nrows) for _ in range(rng.randint(0, 3))]
+        targets = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.random()
+            if kind < 0.4:
+                targets.append(combo(cols))
+            elif kind < 0.7:
+                targets.append(combo(cols + extra))
+            else:
+                targets.append(vec(nrows))
+        span = IntEchelon(nrows)
+        span.add_many(cols + extra)
+        w = IntEchelon(nrows)
+        w.add_many(extra)
+        sols = solve_into(cols, targets, extra)
+        assert len(sols) == len(targets)
+        for b, sol in zip(targets, sols):
+            if sol is None:
+                assert not span.contains(b)
+                seen["none"] += 1
+                continue
+            x, den = sol
+            assert den > 0 and all(isinstance(v, int) and v for v in x.values())
+            assert list(x) == sorted(x) and all(0 <= c < len(cols) for c in x)
+            got = _matvec(cols, x)
+            resid = {r: got.get(r, 0) - den * b.get(r, 0) for r in set(got) | set(b)}
+            assert w.contains({r: v for r, v in resid.items() if v})
+            plain = IntEchelon(nrows)
+            plain.add_many(cols)
+            seen["direct" if plain.contains(b) else "modulo"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_int_echelon_rank_tracking():

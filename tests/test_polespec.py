@@ -14,8 +14,6 @@ from koszulspec.polespec import (
     PoleSpectrum,
     SubquotientState,
     check_exponent_bounds,
-    d1_rank,
-    dr_step,
     pole_spectrum,
     stage_snapshot,
     torsion_profile,
@@ -33,11 +31,25 @@ def test_stage_one_state_matches_window():
         assert state.n_dim(k) == win.nu(k)
 
 
+def _d1_rank(win, k):
+    """Image dimension of the stage-1 differential at grading k, on a fresh
+    tower state; returns (rank, state after the step)."""
+    state = SubquotientState(win)
+    return state.advance_degree(k), state
+
+
+def _stage2_state(win):
+    state = SubquotientState(win)
+    state.finish_stage()
+    return state
+
+
 def test_d1_rank_xyz_top_of_kernel():
     # both syzygy classes at grading 6 survive: mu2_3 = 1 and nu2_6 = 2
     win = support.corpus_window("xyz")
-    rank, ker, rel = d1_rank(win, 6)
+    rank, state = _d1_rank(win, 6)
     assert rank == 0
+    assert state.n_dim(6) == 2
     mu2, nu2 = stage_snapshot(win, 2)
     assert mu2[3] == 1
     assert nu2[6] == 2
@@ -45,7 +57,7 @@ def test_d1_rank_xyz_top_of_kernel():
 
 def test_d1_rank_first_syzygy_survives_twoa3():
     win = support.corpus_window("twoa3")
-    rank, ker, rel = d1_rank(win, 7)
+    rank, _ = _d1_rank(win, 7)
     assert rank == 0
     mu2, nu2 = stage_snapshot(win, 2)
     assert nu2[7] == 1
@@ -55,33 +67,34 @@ def test_d1_rank_first_syzygy_survives_twoa3():
 def test_d1_rank_zero_without_cycles():
     # nu_5 = 0 for xyz: no kernel beyond boundaries, nothing to map
     win = support.corpus_window("xyz")
-    rank, ker, rel = d1_rank(win, 5)
+    rank, state = _d1_rank(win, 5)
     assert rank == 0
-    assert ker.dim == 0
+    assert state.n_dim(5) == 0
 
 
 def test_d1_rank_relations_grow_by_rank():
     win = support.corpus_window("xyz")
     k = 9
     m = k - win.d
-    rank, ker, rel = d1_rank(win, k)
+    state = SubquotientState(win)
+    assert state.rel[m].dim == win.rank_wedge(win.n - 1, m - win.d)
+    rank = state.advance_degree(k)
     assert rank > 0
-    assert rel.dim == win.rank_wedge(win.n - 1, m - win.d) + rank
-
-
-def test_d1_rank_window_guard():
-    win = support.corpus_window("xyz")
-    with pytest.raises(ValueError):
-        d1_rank(win, win.k_max + 1)
+    assert state.rel[m].dim == win.rank_wedge(win.n - 1, m - win.d) + rank
+    assert state.image_dims[(1, m)] == rank
 
 
 def test_d1_ranks_sum_to_stage_drop():
     """The total d1 rank accounts exactly for nu1 - nu2."""
     win = support.corpus_window("fourlines")
-    total = sum(d1_rank(win, k)[0] for k in range(win.k_max + 1))
+    state = SubquotientState(win)
+    total = sum(state.advance_degree(k) for k in range(win.k_max + 1))
     nu1 = [win.nu(k) for k in range(win.k_max + 1)]
     _, nu2 = stage_snapshot(win, 2)
     assert total == sum(nu1) - sum(nu2)
+    # finish_stage has nothing left to advance at stage 1
+    assert state.finish_stage() == 0
+    assert state.nu_hist[2] == nu2
 
 
 def test_d1_rank_representative_independence():
@@ -89,52 +102,51 @@ def test_d1_rank_representative_independence():
     per-degree ranks."""
     win = support.corpus_window("twoa3")
     perm = support.window("y^2*z^2 + x^4", support.VARS3)
+    state, pstate = SubquotientState(win), SubquotientState(perm)
     for k in range(win.k_max + 1):
-        assert d1_rank(win, k)[0] == d1_rank(perm, k)[0], k
+        assert state.advance_degree(k) == pstate.advance_degree(k), k
 
 
 def test_dr_step_stage_gating():
+    """A degree is advanced once per stage: finishing a stage opens every
+    degree again for the next differential."""
     win = support.corpus_window("xyz")
     state = SubquotientState(win)
+    state.advance_degree(6)
     with pytest.raises(ValueError):
-        dr_step(state, 1, 6)
-    with pytest.raises(ValueError):
-        dr_step(state, 2, 6)  # stage 1 not finished yet
+        state.advance_degree(6)
     state.finish_stage()
     assert state.stage == 2
+    assert state.advance_degree(6) == 0
 
 
 def test_dr_step_all_zero_for_xyz():
     win = support.corpus_window("xyz")
-    state = SubquotientState(win)
-    state.finish_stage()
+    state = _stage2_state(win)
     for k in range(win.k_max + 1):
-        added, ker, rel, image_dim = dr_step(state, 2, k)
-        assert added == 0 and image_dim == 0, k
+        assert state.advance_degree(k) == 0, k
+    assert not any(r >= 2 and v for (r, _), v in state.image_dims.items())
 
 
 def test_dr_step_all_zero_for_binary_input():
     win = support.corpus_window("x2y2")
-    state = SubquotientState(win)
-    state.finish_stage()
-    assert all(dr_step(state, 2, k)[0] == 0 for k in range(win.k_max + 1))
+    state = _stage2_state(win)
+    assert all(state.advance_degree(k) == 0 for k in range(win.k_max + 1))
 
 
 def test_dr_step_refuses_double_advance():
     win = support.corpus_window("xyz")
-    state = SubquotientState(win)
-    state.finish_stage()
-    dr_step(state, 2, 6)
+    state = _stage2_state(win)
+    state.advance_degree(6)
     with pytest.raises(ValueError):
-        dr_step(state, 2, 6)
+        state.advance_degree(6)
 
 
 def test_dr_step_low_degrees_always_zero():
     """Below grading n + r*d the target space is trivial."""
     win = support.window(tables.NON_WH["text"], tables.NON_WH["variables"])
-    state = SubquotientState(win)
-    state.finish_stage()
-    ranks = [dr_step(state, 2, k)[0] for k in range(win.k_max + 1)]
+    state = _stage2_state(win)
+    ranks = [state.advance_degree(k) for k in range(win.k_max + 1)]
     cut = win.n + 2 * win.d
     assert all(r == 0 for r in ranks[:cut])
     assert ranks[cut:] == [1] * (win.k_max + 1 - cut)
