@@ -427,6 +427,24 @@ def _optional_int(value, name: str) -> int | None:
     return value
 
 
+def _optional_field(value, name: str, types: tuple[type, ...]):
+    """A field of a corpus entry or exponent file: absent, or of one of
+    `types` exactly (so an exact rational is a string such as "1/2" or an
+    integer, never a float)."""
+    if value is not None and type(value) not in types:
+        raise ValueError(f"{name!r} must be {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
+def _optional_exponents(value, name: str) -> list[str | int] | None:
+    """A list of local spectral exponents, each a string or an integer."""
+    if value is not None and not (
+        isinstance(value, list) and all(type(e) in (str, int) for e in value)
+    ):
+        raise ValueError(f"{name!r} must be a list of str or int")
+    return value
+
+
 def _variable_names(value) -> list[str]:
     """Variables of a corpus entry or catalog record: a comma-separated
     string or a list of names."""
@@ -449,7 +467,7 @@ def _record_args(rec: dict) -> argparse.Namespace:
         seed=_optional_int(rec.get("seed"), "seed"),
         json=True,
         catalog=None,
-        binary_form=rec.get("binary_form"),
+        binary_form=_optional_field(rec.get("binary_form"), "binary_form", (str,)),
     )
 
 
@@ -502,10 +520,10 @@ def _check_corpus(args) -> int:
                 _variable_names(entry.get("vars", args.vars)),
                 _optional_int(entry.get("k_max"), "k_max"),
                 _optional_int(entry.get("seed", args.seed), "seed"),
-                entry.get("nodal", False),
-                entry.get("alpha_min"),
-                entry.get("exponents"),
-                entry.get("binary_form"),
+                _optional_field(entry.get("nodal", False), "nodal", (bool,)),
+                _optional_field(entry.get("alpha_min"), "alpha_min", (str, int)),
+                _optional_exponents(entry.get("exponents"), "exponents"),
+                _optional_field(entry.get("binary_form"), "binary_form", (str,)),
             )
         except _HANDLED as exc:
             code = _exit_code(exc)
@@ -534,9 +552,11 @@ def cmd_check(args) -> int:
     if args.exponents:
         with open(args.exponents, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        exponents = data.get("local_exponents")
+        if not isinstance(data, dict):
+            raise ValueError("the exponent file must hold a JSON object")
+        exponents = _optional_exponents(data.get("local_exponents"), "local_exponents")
         if alpha_min is None:
-            alpha_min = data.get("alpha_min")
+            alpha_min = _optional_field(data.get("alpha_min"), "alpha_min", (str, int))
     lines = _check_one(
         args.poly,
         _parse_vars(args.vars),

@@ -1,5 +1,5 @@
-"""Sparse exact linear algebra over Q on integer vectors, with a modular
-fast path for ranks.
+"""Sparse exact linear algebra over Q on integer vectors, with modular
+ranks as the fast path.
 
 Vectors are sparse dicts {index: int}; a matrix is a list of its columns.
 Rational data enters only through `vec_from_fractions`, which clears
@@ -9,9 +9,15 @@ loops.  Pivot rows are taken in Markowitz order (fewest entries first) from
 a heap, with a column-to-rows index for the rows each pivot touches.
 Kernels and solutions are read off a fraction-free back-reduction of the
 pivot rows: kernels as primitive sparse integer vectors, solutions as an
-integer vector with a common denominator.  Ranks go through reduction
-modulo two fixed word-size primes first; the exact path is run whenever the
-primes disagree or when an exact result is requested.
+integer vector with a common denominator.
+
+Ranks go through reduction modulo two fixed word-size primes first; the
+exact path is run whenever the primes disagree or when an exact result is
+requested.  The modular path is the same sparse engine over Z/p: the
+columns are eliminated as dict rows reduced mod p, each pivot row scaled to
+1 at its pivot index, so a step costs only the entries it touches.
+`ModularSpan` keeps its pivot rows in elimination order and reduces a new
+vector only by the pivots it hits.
 """
 
 from __future__ import annotations
@@ -21,9 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-import numpy as np
-
-# Fixed default primes, both above 2**30, products fit comfortably in int64.
+# Fixed default primes, both above 2**30.
 DEFAULT_PRIMES = (2147483647, 2147483629)
 
 SparseVec = dict[int, int]
@@ -321,7 +325,7 @@ class IntEchelon:
     def reduce_full(self, vec: SparseVec) -> tuple[SparseVec, Fraction]:
         """Return (residual, scale): residual = scale * vec - (row combo),
         scale > 0, residual has no entry in any pivot column."""
-        v = dict(vec)
+        v = {c: x for c, x in vec.items() if x}
         scale = Fraction(1)
         if not v:
             return v, scale
@@ -389,81 +393,124 @@ def combo_kernel(vectors: list[SparseVec], echelon: IntEchelon) -> list[SparseVe
     return [vec_from_fractions({a: v * scales[a] for a, v in b.items()})[0] for b in raw]
 
 
-# -- modular fast path --------------------------------------------------------
+# -- modular ranks ------------------------------------------------------------
 
 
-def _dense_mod(columns: list[SparseVec], nrows: int, p: int) -> np.ndarray:
-    """Dense (ncols x nrows) int64 array: column vectors as rows, reduced mod p."""
-    M = np.zeros((len(columns), nrows), dtype=np.int64)
-    for i, col in enumerate(columns):
-        for r, v in col.items():
-            M[i, r] = v % p
-    return M
+def _eliminate_mod(vectors: list[SparseVec], p: int) -> list[tuple[int, SparseVec]]:
+    """Forward sparse elimination of `vectors` modulo the prime p.
 
+    Returns the pivots in elimination order as (pivot index, row), each row
+    reduced mod p and scaled to 1 at its pivot index; a row holds no entry
+    at the pivot index of any earlier pivot.  The input is not modified.
 
-def _echelon_mod_inplace(M: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Row echelon of M mod p in place; pivot rows normalized to leading 1.
-    Returns (rank, pivot column list)."""
-    nrows, ncols = M.shape
-    r = 0
-    pivot_cols: list[int] = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+    Same engine as `_eliminate`: active rows wait in a heap keyed by
+    (number of entries, row index), an entry whose count no longer matches
+    its row is stale, and `col_rows` maps each index to the active rows
+    containing it.  The pivot index is the row's entry used by the fewest
+    active rows.  Rows are updated in place by the pivot row's entries only.
+    """
+    active: dict[int, SparseVec] = {}
+    for i, vec in enumerate(vectors):
+        row = {c: y for c, x in vec.items() if (y := x % p)}
+        if row:
+            active[i] = row
+    col_rows: dict[int, set[int]] = {}
+    for i, row in active.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in active.items()]
+    heapq.heapify(heap)
+    pivots: list[tuple[int, SparseVec]] = []
+    while heap:
+        n, i = heapq.heappop(heap)
+        row = active.get(i)
+        if row is None or len(row) != n:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        below = M[r + 1 :, c]
-        sel = np.nonzero(below)[0]
-        if sel.size:
-            block = M[r + 1 :][sel]
-            block = (block - np.outer(below[sel], M[r])) % p
-            M[r + 1 :][sel] = block
-        pivot_cols.append(c)
-        r += 1
-    return r, pivot_cols
+        del active[i]
+        for c in row:
+            col_rows[c].discard(i)
+        c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row = {cc: x * inv % p for cc, x in row.items()}
+        pivots.append((c, row))
+        rest = [(cc, x) for cc, x in row.items() if cc != c]
+        for j in col_rows.pop(c):
+            other = active[j]
+            a = other.pop(c)
+            for cc, x in rest:
+                y = other.get(cc)
+                if y is None:
+                    other[cc] = -a * x % p
+                    col_rows[cc].add(j)
+                else:
+                    y = (y - a * x) % p
+                    if y:
+                        other[cc] = y
+                    else:
+                        del other[cc]
+                        col_rows[cc].discard(j)
+            if other:
+                heapq.heappush(heap, (len(other), j))
+            else:
+                del active[j]
+    return pivots
 
 
 def rank_mod(columns: list[SparseVec], nrows: int, p: int) -> int:
-    M = _dense_mod(columns, nrows, p)
-    r, _ = _echelon_mod_inplace(M, p)
-    return r
+    """Rank modulo p of the matrix with the given columns and `nrows` rows
+    (the sparse elimination needs only the columns)."""
+    return len(_eliminate_mod(columns, p))
 
 
 class ModularSpan:
     """Span of integer vectors modulo a fixed prime, supporting incremental
     added-rank queries.  Used for rank computations of stacked matrices
-    [A | B] - rank(A) without re-eliminating A."""
+    [A | B] - rank(A) without re-eliminating A.  The pivots are kept in
+    elimination order, `step` maps each pivot index to its place there;
+    `nrows`, the length of the vectors, is not needed by the sparse
+    elimination."""
 
-    __slots__ = ("p", "dim", "pivot_rows", "pivot_cols")
+    __slots__ = ("p", "pivots", "step")
 
     def __init__(self, columns: list[SparseVec], nrows: int, p: int):
         self.p = p
-        self.dim = nrows
-        M = _dense_mod(columns, nrows, p)
-        r, pivots = _echelon_mod_inplace(M, p)
-        self.pivot_rows = M[:r].copy()
-        self.pivot_cols = pivots
+        self.pivots = _eliminate_mod(columns, p)
+        self.step = {c: k for k, (c, _) in enumerate(self.pivots)}
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_cols)
+        return len(self.pivots)
+
+    def _reduce(self, vec: SparseVec) -> SparseVec:
+        """vec mod p minus its combination of pivot rows: the residual has no
+        entry at any pivot index.  The pivots it hits are taken in
+        elimination order; a pivot row only brings in later pivot indices."""
+        p, step, pivots = self.p, self.step, self.pivots
+        v = {c: y for c, x in vec.items() if (y := x % p)}
+        hits = [step[c] for c in v if c in step]
+        heapq.heapify(hits)
+        while hits:
+            c, row = pivots[heapq.heappop(hits)]
+            a = v.pop(c, 0)
+            if not a:
+                continue
+            for cc, x in row.items():
+                if cc == c:
+                    continue
+                y = v.get(cc)
+                if y is None:
+                    v[cc] = -a * x % p
+                    if cc in step:
+                        heapq.heappush(hits, step[cc])
+                else:
+                    y = (y - a * x) % p
+                    if y:
+                        v[cc] = y
+                    else:
+                        del v[cc]
+        return v
 
     def added_rank(self, columns: list[SparseVec]) -> int:
-        if not columns:
-            return 0
-        p = self.p
-        B = _dense_mod(columns, self.dim, p)
-        for i, c in enumerate(self.pivot_cols):
-            coeffs = B[:, c]
-            sel = np.nonzero(coeffs)[0]
-            if sel.size:
-                B[sel] = (B[sel] - np.outer(coeffs[sel], self.pivot_rows[i])) % p
-        r, _ = _echelon_mod_inplace(B, p)
-        return r
+        """rank([A | columns]) - rank(A) modulo p, A being the span."""
+        return len(_eliminate_mod([self._reduce(v) for v in columns], self.p))

@@ -1,6 +1,9 @@
 """Command line surface: rendering, JSON records, catalogs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,6 +194,11 @@ def test_check_bounds_with_exponent_file(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "x^2*y^2 + z^4", "--exponents", str(path))
     assert code == 0
     assert out.count("bound:") == 3
+    # a malformed file is an input error (exit 2), not a crash
+    for bad in ([1, 2], {"local_exponents": "3/4"}, {"alpha_min": 0.75}):
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "check", "x^2*y^2 + z^4", "--exponents", str(path))
+        assert code == 2 and "error:" in err
 
 
 def test_check_bound_violation_exit(capsys):
@@ -254,6 +262,42 @@ def test_check_corpus_keeps_going_past_a_bad_entry(tmp_path, capsys):
     assert lines[4] == "corpus: 4 records, 0 passed, 0 failed, 4 errors"
 
 
+def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
+    """A bad alpha_min, exponents, binary_form or nodal value is an input
+    error of its own entry, not a crash of the batch."""
+    entries = [
+        {"input": "x*y*z", "alpha_min": [1]},
+        {"input": "x^3 + y^3 + z^3"},
+        {"input": "x*y*z", "alpha_min": "1/2", "exponents": "1/2"},
+        {"input": "x^2*y^2", "vars": "x,y", "binary_form": 5},
+        {"input": "x*y*z", "nodal": "yes"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    code, out, _ = run(capsys, "check", "--corpus", str(path))
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith("ERROR x*y*z:") and "alpha_min" in lines[0]
+    assert lines[0].endswith("(exit 2)")
+    assert lines[1].startswith("PASS x^3 + y^3 + z^3:")
+    assert lines[2].startswith("ERROR x*y*z:") and "exponents" in lines[2]
+    assert lines[3].startswith("ERROR x^2*y^2:") and "binary_form" in lines[3]
+    assert lines[4].startswith("ERROR x*y*z:") and "nodal" in lines[4]
+    assert lines[5] == "corpus: 5 records, 1 passed, 0 failed, 4 errors"
+
+
+def test_cli_import_leaves_numpy_out():
+    """The package has no numpy dependency; importing the CLI must not
+    load it (it would cost about 0.1 s of start-up on every call)."""
+    code = "import sys, koszulspec.cli; print('numpy' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_catalog_append_and_verify(tmp_path, capsys):
     cat = tmp_path / "catalog.jsonl"
     run(capsys, "invariants", "x*y*z", "--catalog", str(cat))
@@ -310,6 +354,11 @@ def test_catalog_errors_name_the_line(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--catalog", str(cat))
     assert code == 2
     assert "catalog line 1:" in err and "k_max" in err
+    rec["k_max"], rec["command"], rec["binary_form"] = 12, "spectrum", 5
+    cat.write_text(json.dumps(rec) + "\n")
+    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    assert code == 2
+    assert "catalog line 1:" in err and "binary_form" in err
 
 
 def test_exit_parse_error(capsys):

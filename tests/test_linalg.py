@@ -12,6 +12,7 @@ from koszulspec.linalg import (
     combo_kernel,
     kernel_int_columns,
     rank_exact_rows,
+    rank_mod,
     solve_into,
     vec_from_fractions,
 )
@@ -203,6 +204,16 @@ def test_solve_into_property():
     assert min(seen.values()) >= 10, seen
 
 
+def test_int_echelon_ignores_explicit_zeros():
+    """A zero entry off the pivot columns is no entry at all."""
+    ech = IntEchelon(2)
+    ech.add({1: 1})
+    assert ech.contains({0: 0, 1: -9})
+    assert ech.reduce_full({0: 0, 1: -9})[0] == {}
+    assert not ech.add({0: 0, 1: 4})
+    assert ech.added_rank([{0: 0}, {0: 0, 1: 2}]) == 0
+
+
 def test_int_echelon_rank_tracking():
     ech = IntEchelon(3)
     assert ech.add({0: 1, 1: 1})
@@ -317,3 +328,59 @@ def test_modular_span_added_rank():
     assert span.added_rank([{0: 2, 1: 4}]) == 0
     assert span.added_rank([{2: 1}, {2: 3}]) == 1
     assert span.added_rank([]) == 0
+
+
+def _dense_rank_mod(columns, nrows, p):
+    """Plain dense Gaussian elimination over Z/p; independent of the library."""
+    a = [[columns[c].get(r, 0) % p for c in range(len(columns))] for r in range(nrows)]
+    rk = 0
+    for col in range(len(columns)):
+        piv = next((i for i in range(rk, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rk], a[piv] = a[piv], a[rk]
+        inv = pow(a[rk][col], p - 2, p)
+        for i in range(rk + 1, nrows):
+            f = a[i][col] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rk])]
+        rk += 1
+    return rk
+
+
+def test_modular_path_property():
+    """Sparse ranks mod each fixed prime against a dense oracle mod that
+    prime, on entries that vanish mod one prime or both (multiples of p0,
+    p1, p0*p1, negative too) and with empty columns; added ranks of a
+    ModularSpan against the rank of the stacked columns; inputs untouched."""
+    p0, p1 = DEFAULT_PRIMES
+    rng = random.Random(20261018)
+    pool = [1, -1, 2, -3, 7, p0, -p0, 3 * p1, -p1, p0 * p1, -2 * p0 * p1, p0 * p1 + 1, -p0 - 5]
+    split = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 9), rng.randint(0, 9)
+        density = rng.choice([0.2, 0.5, 0.9])
+        cols = [
+            {r: rng.choice(pool) for r in range(nrows) if rng.random() < density}
+            for _ in range(ncols)
+        ]
+        if ncols >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(range(ncols), 2)
+            u, v = rng.choice(pool), rng.choice(pool)
+            mix = {r: u * cols[a].get(r, 0) + v * cols[b].get(r, 0) for r in range(nrows)}
+            cols.append({r: x for r, x in mix.items() if x})
+        cols.insert(rng.randint(0, len(cols)), {})
+        k = rng.randint(0, len(cols))
+        frozen = [dict(c) for c in cols]
+        ranks = []
+        for p in DEFAULT_PRIMES:
+            full = rank_mod(cols, nrows, p)
+            assert full == _dense_rank_mod(cols, nrows, p)
+            span = ModularSpan(cols[:k], nrows, p)
+            assert span.rank == rank_mod(cols[:k], nrows, p)
+            assert span.added_rank(cols[k:]) == full - span.rank
+            assert span.added_rank(cols[k:]) == full - span.rank  # span unchanged
+            ranks.append(full)
+        assert cols == frozen
+        split += ranks[0] != ranks[1]
+    assert split >= 10
