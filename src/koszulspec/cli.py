@@ -370,8 +370,8 @@ def _check_one(
     kmax: int | None,
     seed: int,
     nodal: bool,
-    alpha_min: str | None,
-    exponents: list[str] | None,
+    alpha_min: Fraction | None,
+    exponents: list[Fraction] | None,
     binary_form: str | None,
 ) -> list[str]:
     """Identity suite on one input; returns human-readable PASS lines.
@@ -411,7 +411,7 @@ def _check_one(
         _, nu2 = stage_snapshot(win, 2)
         bounds = check_exponent_bounds(
             tab,
-            Fraction(alpha_min),
+            alpha_min,
             local_exponents=exponents,
             nu2=nu2[: tab.k_max - tab.d + 1],
             spectrum=sp,
@@ -436,13 +436,24 @@ def _optional_field(value, name: str, types: tuple[type, ...]):
     return value
 
 
-def _optional_exponents(value, name: str) -> list[str | int] | None:
+def _optional_rational(value, name: str) -> Fraction | None:
+    """An exact rational field: absent, or a string such as "3/4" or an
+    integer, never a float; a zero denominator is an input error too."""
+    if _optional_field(value, name, (str, int)) is None:
+        return None
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name!r} must be a rational such as 3/4, not {value!r}") from None
+
+
+def _optional_exponents(value, name: str) -> list[Fraction] | None:
     """A list of local spectral exponents, each a string or an integer."""
     if value is not None and not (
         isinstance(value, list) and all(type(e) in (str, int) for e in value)
     ):
         raise ValueError(f"{name!r} must be a list of str or int")
-    return value
+    return None if value is None else [_optional_rational(e, name) for e in value]
 
 
 def _variable_names(value) -> list[str]:
@@ -521,7 +532,7 @@ def _check_corpus(args) -> int:
                 _optional_int(entry.get("k_max"), "k_max"),
                 _optional_int(entry.get("seed", args.seed), "seed"),
                 _optional_field(entry.get("nodal", False), "nodal", (bool,)),
-                _optional_field(entry.get("alpha_min"), "alpha_min", (str, int)),
+                _optional_rational(entry.get("alpha_min"), "alpha_min"),
                 _optional_exponents(entry.get("exponents"), "exponents"),
                 _optional_field(entry.get("binary_form"), "binary_form", (str,)),
             )
@@ -548,7 +559,7 @@ def cmd_check(args) -> int:
     if not args.poly:
         raise ValueError("need a polynomial, --corpus, or --catalog")
     exponents = None
-    alpha_min = args.alpha_min
+    alpha_min = _optional_rational(args.alpha_min, "alpha_min")
     if args.exponents:
         with open(args.exponents, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -556,7 +567,7 @@ def cmd_check(args) -> int:
             raise ValueError("the exponent file must hold a JSON object")
         exponents = _optional_exponents(data.get("local_exponents"), "local_exponents")
         if alpha_min is None:
-            alpha_min = _optional_field(data.get("alpha_min"), "alpha_min", (str, int))
+            alpha_min = _optional_rational(data.get("alpha_min"), "alpha_min")
     lines = _check_one(
         args.poly,
         _parse_vars(args.vars),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .koszul import KoszulWindow, assumption_evidence
-from .linalg import DEFAULT_PRIMES, IntEchelon, ModularSpan, SparseVec
+from .linalg import DEFAULT_PRIMES, IntEchelon, ModularSpan, SparseVec, combo_kernel
 from .poly import HomogeneousPoly, generic_linear_form
 
 
@@ -130,7 +130,7 @@ class _SplitContext:
     def span_exact(self, target_k: int) -> IntEchelon:
         if target_k not in self._exact_spans:
             win = self.win
-            ech = IntEchelon(win.dim(win.n, target_k))
+            ech = IntEchelon()
             ech.add_many(win.wedge_columns(win.n - 1, target_k - win.d))
             self._exact_spans[target_k] = ech
         return self._exact_spans[target_k]
@@ -143,7 +143,7 @@ class _SplitContext:
             r1 = self.span_mod(k + p, DEFAULT_PRIMES[1]).added_rank(cols)
             if r0 == r1:
                 return r0
-        return self.span_exact(k + p).added_rank(cols)
+        return len(cols) - len(combo_kernel(cols, self.span_exact(k + p)))
 
 
 def mu_split(

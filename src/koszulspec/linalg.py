@@ -218,21 +218,18 @@ def _lowest_terms(num: int, den: int) -> tuple[int, int]:
     return (-num, -den) if den < 0 else (num, den)
 
 
-def kernel_int_columns(
-    columns: list[SparseVec], ncols_hint: int | None = None
-) -> list[SparseVec]:
+def kernel_int_columns(columns: list[SparseVec]) -> dict[int, SparseVec]:
     """Exact kernel of the matrix with the given columns; vectors indexed by
     column position.
 
-    One vector per free column f, in increasing f: the kernel vector that is
-    zero on every other free column, as a primitive sparse integer vector
-    with keys in increasing order and its leading entry positive.  The
-    pivot rows are back-reduced fraction-free, so each vector is read off
-    directly: with lowest-terms x[c] = -row[f] / row[c] over the pivot rows
-    that touch f, scaling by the lcm L of their denominators (x[f] = L)
-    gives a primitive integer vector.
+    One vector per free column f, keyed by f in increasing order: the kernel
+    vector that is zero on every other free column, as a primitive sparse
+    integer vector with keys in increasing order and its leading entry
+    positive.  The pivot rows are back-reduced fraction-free, so each vector
+    is read off directly: with lowest-terms x[c] = -row[f] / row[c] over the
+    pivot rows that touch f, scaling by the lcm L of their denominators
+    (x[f] = L) gives a primitive integer vector.
     """
-    ncols = len(columns) if ncols_hint is None else ncols_hint
     pivots, reduced, _ = _eliminate(list(_rows_of(columns).values()))
     _back_reduce(pivots, reduced)
     touching: dict[int, list[tuple[int, int, int]]] = {}
@@ -242,8 +239,8 @@ def kernel_int_columns(
             if f != c:
                 touching.setdefault(f, []).append((c, *_lowest_terms(-v, row[c])))
     pivot_cols = {c for c, _ in pivots}
-    out: list[SparseVec] = []
-    for f in range(ncols):
+    out: dict[int, SparseVec] = {}
+    for f in range(len(columns)):
         if f in pivot_cols:
             continue
         terms = touching.get(f, ())
@@ -253,7 +250,7 @@ def kernel_int_columns(
         vec = dict(sorted(vec.items()))
         if next(iter(vec.values())) < 0:
             vec = {c: -v for c, v in vec.items()}
-        out.append(vec)
+        out[f] = vec
     return out
 
 
@@ -312,10 +309,9 @@ class IntEchelon:
     residual supported on free columns only.
     """
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows: dict[int, SparseVec] = {}
 
     @property
@@ -364,16 +360,6 @@ class IntEchelon:
     def add_many(self, vectors) -> int:
         return sum(1 for v in vectors if self.add(v))
 
-    def added_rank(self, vectors) -> int:
-        """Rank of `vectors` over the current span, without mutating."""
-        probe = IntEchelon(self.ncols)
-        count = 0
-        for v in vectors:
-            res, _ = self.reduce_full(v)
-            if res and probe.add(res):
-                count += 1
-        return count
-
     def contains(self, vec: SparseVec) -> bool:
         res, _ = self.reduce_full(vec)
         return not res
@@ -389,8 +375,8 @@ def combo_kernel(vectors: list[SparseVec], echelon: IntEchelon) -> list[SparseVe
         r, s = echelon.reduce_full(v)
         residuals.append(r)
         scales.append(s)
-    raw = kernel_int_columns(residuals, ncols_hint=len(vectors))
-    return [vec_from_fractions({a: v * scales[a] for a, v in b.items()})[0] for b in raw]
+    raw = kernel_int_columns(residuals)
+    return [vec_from_fractions({a: v * scales[a] for a, v in b.items()})[0] for b in raw.values()]
 
 
 # -- modular ranks ------------------------------------------------------------

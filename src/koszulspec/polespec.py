@@ -64,20 +64,6 @@ def _combine(vectors: list[SparseVec], coeffs: SparseVec) -> SparseVec:
     return out
 
 
-def _apply_derivative(win: KoszulWindow, j: int, m: int, vec: SparseVec) -> SparseVec:
-    """Exterior derivative of a coordinate vector over the (j, m) basis."""
-    cols = win.derivative_columns(j, m)
-    out: SparseVec = {}
-    for i, c in vec.items():
-        for r, v in cols[i].items():
-            acc = out.get(r, 0) + c * v
-            if acc:
-                out[r] = acc
-            else:
-                del out[r]
-    return out
-
-
 @dataclass
 class _Gen:
     """One kernel generator: the class representative (a cycle), the newest
@@ -120,7 +106,7 @@ class SubquotientState:
         win = self.win
         n, d, K = win.n, win.d, win.k_max
         for k in range(K + 1):
-            ech = IntEchelon(win.dim(n, k))
+            ech = IntEchelon()
             if k >= d:
                 ech.add_many(win.wedge_columns(n - 1, k - d))
             self.rel[k] = ech
@@ -131,28 +117,29 @@ class SubquotientState:
                     raise RuntimeError(f"rank disagreement at degree {k}")
         for k in range(d + n - 1, K + 1):
             m = k - d
-            cols = win.wedge_columns(n - 1, m)
-            cyc = kernel_int_columns(cols, ncols_hint=win.dim(n - 1, m))
+            cyc = kernel_int_columns(win.wedge_columns(n - 1, m))
             if not cyc:
                 continue
             bnd = win.wedge_columns(n - 2, m - d) if m >= d else []
+            deriv = win.derivative_columns(n - 1, m)
             # sign-convention guard: derivatives of boundaries must already
             # be relations, otherwise classes have no well-defined value
             for b in bnd:
-                if not self.rel[m].contains(_apply_derivative(win, n - 1, m, b)):
+                if not self.rel[m].contains(_combine(deriv, b)):
                     raise WellDefinednessViolation(
                         f"derivative of a boundary escapes relations at degree {m}"
                     )
-            bech = IntEchelon(win.dim(n - 1, m))
-            bech.add_many(bnd)
-            glist = []
-            for z in cyc:
-                res, _ = bech.reduce_full(z)
-                if res and bech.add(res):
-                    glist.append(
-                        _Gen(rep=res, lift=dict(res),
-                             value=_apply_derivative(win, n - 1, m, res))
-                    )
+            # a cycle is fixed by its entries at the free columns of the
+            # kernel basis, where that basis is diagonal: the cycles whose
+            # free column is no pivot of the projected boundaries complete
+            # the boundaries to a basis of the cycles
+            taken = IntEchelon()
+            taken.add_many({f: v for f, v in b.items() if f in cyc} for b in bnd)
+            glist = [
+                _Gen(rep=z, lift=z, value=_combine(deriv, z))
+                for f, z in cyc.items()
+                if f not in taken.rows
+            ]
             if glist:
                 self.gens[k] = glist
             if len(glist) != win.nu(k):
@@ -201,14 +188,15 @@ class SubquotientState:
             # value space is zero from here on; the classes survive untouched
             return 0
         values = [g.value for g in glist]
-        added = self.rel[j].added_rank(values)
-        self.image_dims[(r, j)] = added
         kerco = combo_kernel(values, self.rel[j])
+        added = len(values) - len(kerco)
+        self.image_dims[(r, j)] = added
         new_gens: list[_Gen] = []
         if kerco:
             # lift every kernel combination through df wedge at once, modulo
             # the derivatives of the lifts already used at j
-            adjust = [_apply_derivative(win, n - 1, j, w) for w in self.wlift[j]]
+            deriv = win.derivative_columns(n - 1, j)
+            adjust = [_combine(deriv, w) for w in self.wlift[j]]
             targets = [_combine(values, c) for c in kerco]
             sols = solve_into(win.wedge_columns(n - 1, j - d), targets, adjust)
             reps = [g.rep for g in glist]
@@ -222,7 +210,7 @@ class SubquotientState:
                 lift, rep = strip_joint_content(lift, rep)
                 new_gens.append(
                     _Gen(rep=rep, lift=lift,
-                         value=_apply_derivative(win, n - 1, j - d, lift))
+                         value=_combine(win.derivative_columns(n - 1, j - d), lift))
                 )
         # commit: the processed lifts become adjustment freedom and their
         # derivatives become relations, both only for later stages

@@ -195,10 +195,19 @@ def test_check_bounds_with_exponent_file(tmp_path, capsys):
     assert code == 0
     assert out.count("bound:") == 3
     # a malformed file is an input error (exit 2), not a crash
-    for bad in ([1, 2], {"local_exponents": "3/4"}, {"alpha_min": 0.75}):
+    for bad in (
+        [1, 2],
+        {"local_exponents": "3/4"},
+        {"alpha_min": 0.75},
+        {"local_exponents": ["2/0"]},
+        {"alpha_min": "1/0"},
+    ):
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "check", "x^2*y^2 + z^4", "--exponents", str(path))
         assert code == 2 and "error:" in err
+    # so is a zero denominator given on the command line
+    code, _, err = run(capsys, "check", "x*y*z", "--alpha-min", "1/0")
+    assert code == 2 and "error:" in err and "alpha_min" in err
 
 
 def test_check_bound_violation_exit(capsys):
@@ -264,9 +273,11 @@ def test_check_corpus_keeps_going_past_a_bad_entry(tmp_path, capsys):
 
 def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
     """A bad alpha_min, exponents, binary_form or nodal value is an input
-    error of its own entry, not a crash of the batch."""
+    error of its own entry, not a crash of the batch; so is a zero
+    denominator."""
     entries = [
         {"input": "x*y*z", "alpha_min": [1]},
+        {"input": "x*y*z", "alpha_min": "1/0"},
         {"input": "x^3 + y^3 + z^3"},
         {"input": "x*y*z", "alpha_min": "1/2", "exponents": "1/2"},
         {"input": "x^2*y^2", "vars": "x,y", "binary_form": 5},
@@ -279,11 +290,13 @@ def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0].startswith("ERROR x*y*z:") and "alpha_min" in lines[0]
     assert lines[0].endswith("(exit 2)")
-    assert lines[1].startswith("PASS x^3 + y^3 + z^3:")
-    assert lines[2].startswith("ERROR x*y*z:") and "exponents" in lines[2]
-    assert lines[3].startswith("ERROR x^2*y^2:") and "binary_form" in lines[3]
-    assert lines[4].startswith("ERROR x*y*z:") and "nodal" in lines[4]
-    assert lines[5] == "corpus: 5 records, 1 passed, 0 failed, 4 errors"
+    assert lines[1].startswith("ERROR x*y*z:") and "alpha_min" in lines[1]
+    assert lines[1].endswith("(exit 2)")
+    assert lines[2].startswith("PASS x^3 + y^3 + z^3:")
+    assert lines[3].startswith("ERROR x*y*z:") and "exponents" in lines[3]
+    assert lines[4].startswith("ERROR x^2*y^2:") and "binary_form" in lines[4]
+    assert lines[5].startswith("ERROR x*y*z:") and "nodal" in lines[5]
+    assert lines[6] == "corpus: 6 records, 1 passed, 0 failed, 5 errors"
 
 
 def test_cli_import_leaves_numpy_out():

@@ -85,14 +85,14 @@ def test_kernel_annihilates():
         m = support.random_sparse(rng, nrows, ncols)
         ker = kernel_int_columns(m)
         assert len(ker) == ncols - rank_exact_rows(m)
-        for vec in ker:
+        for vec in ker.values():
             assert _matvec(m, vec) == {}
 
 
 def test_image_contains_columns():
     rng = random.Random(6)
     m = support.random_sparse(rng, 5, 7)
-    im = IntEchelon(5)
+    im = IntEchelon()
     im.add_many(m)
     assert im.dim == rank_exact_rows(m)
     for col in m:
@@ -102,7 +102,7 @@ def test_image_contains_columns():
 
 
 def test_subspace_contains_and_sum():
-    s = IntEchelon(4)
+    s = IntEchelon()
     s.add({0: 1, 2: 2})
     assert s.contains({0: 3, 2: 6})
     assert s.contains(vec_from_fractions([F(1, 2), 0, F(1), 0])[0])
@@ -181,9 +181,9 @@ def test_solve_into_property():
                 targets.append(combo(cols + extra))
             else:
                 targets.append(vec(nrows))
-        span = IntEchelon(nrows)
+        span = IntEchelon()
         span.add_many(cols + extra)
-        w = IntEchelon(nrows)
+        w = IntEchelon()
         w.add_many(extra)
         sols = solve_into(cols, targets, extra)
         assert len(sols) == len(targets)
@@ -198,7 +198,7 @@ def test_solve_into_property():
             got = _matvec(cols, x)
             resid = {r: got.get(r, 0) - den * b.get(r, 0) for r in set(got) | set(b)}
             assert w.contains({r: v for r, v in resid.items() if v})
-            plain = IntEchelon(nrows)
+            plain = IntEchelon()
             plain.add_many(cols)
             seen["direct" if plain.contains(b) else "modulo"] += 1
     assert min(seen.values()) >= 10, seen
@@ -206,26 +206,27 @@ def test_solve_into_property():
 
 def test_int_echelon_ignores_explicit_zeros():
     """A zero entry off the pivot columns is no entry at all."""
-    ech = IntEchelon(2)
+    ech = IntEchelon()
     ech.add({1: 1})
     assert ech.contains({0: 0, 1: -9})
     assert ech.reduce_full({0: 0, 1: -9})[0] == {}
     assert not ech.add({0: 0, 1: 4})
-    assert ech.added_rank([{0: 0}, {0: 0, 1: 2}]) == 0
+    # rank added to the span = number of vectors - dimension of combo_kernel
+    assert 2 - len(combo_kernel([{0: 0}, {0: 0, 1: 2}], ech)) == 0
 
 
 def test_int_echelon_rank_tracking():
-    ech = IntEchelon(3)
+    ech = IntEchelon()
     assert ech.add({0: 1, 1: 1})
     assert not ech.add({0: 2, 1: 2})
     assert ech.add({2: 5})
     assert ech.contains({0: 3, 1: 3, 2: -5})
     assert not ech.contains({0: 1})
-    assert ech.added_rank([{0: 1}, {1: 1}]) == 1
+    assert 2 - len(combo_kernel([{0: 1}, {1: 1}], ech)) == 1
 
 
 def test_combo_kernel_combinations_land_in_span():
-    ech = IntEchelon(3)
+    ech = IntEchelon()
     ech.add({0: 1, 1: 1})
     vectors = [{0: 1, 1: 1}, {0: 2, 1: 2}, {2: 1}]
     combos = combo_kernel(vectors, ech)
@@ -266,7 +267,8 @@ def _random_low_rank_columns(rng, nrows, ncols, rank, big):
 
 def test_kernel_int_columns_property():
     """Exact annihilation, full dimension, primitive vectors with a
-    positive leading entry, on random rank-deficient integer matrices."""
+    positive leading entry, on random rank-deficient integer matrices; each
+    vector is keyed by its free column, where the basis is diagonal."""
     rng = random.Random(20261018)
     for trial in range(120):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
@@ -274,11 +276,17 @@ def test_kernel_int_columns_property():
             rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), big=trial % 3 == 0
         )
         ker = kernel_int_columns(cols)
-        assert isinstance(ker, list)
+        assert isinstance(ker, dict)
         assert len(ker) == ncols - rank_exact_rows(cols)
-        for vec in ker:
+        assert list(ker) == sorted(ker)
+        for f, vec in ker.items():
             assert vec and all(isinstance(v, int) and v for v in vec.values())
+            assert list(vec) == sorted(vec)
             assert vec[min(vec)] > 0
+            # nonzero at its own free column (not necessarily the leading
+            # entry, which is the positive one), zero at every other
+            assert vec[f] != 0
+            assert all(g == f or g not in vec for g in ker)
             g = 0
             for v in vec.values():
                 g = gcd(g, v)
@@ -302,15 +310,13 @@ def test_kernel_int_columns_frozen_basis():
         [3, 1, 0, 4, -1, 5, 0, 6],
     ]
     cols = [{r: A[r][c] for r in range(6) if A[r][c]} for c in range(8)]
-    assert kernel_int_columns(cols) == [
-        {0: 2, 1: -6, 2: 1, 6: 5},
-        {1: 8, 2: 5, 3: -2, 6: -9},
-        {1: 2, 2: 3, 4: 2, 6: -5},
-        {1: 5, 2: -2, 5: -1, 6: -5},
-        {1: 12, 2: -1, 6: -11, 7: -2},
-    ]
-    # columns past the last one given are free: each adds a unit vector
-    assert kernel_int_columns(cols, ncols_hint=9)[-1] == {8: 1}
+    assert kernel_int_columns(cols) == {
+        0: {0: 2, 1: -6, 2: 1, 6: 5},
+        3: {1: 8, 2: 5, 3: -2, 6: -9},
+        4: {1: 2, 2: 3, 4: 2, 6: -5},
+        5: {1: 5, 2: -2, 5: -1, 6: -5},
+        7: {1: 12, 2: -1, 6: -11, 7: -2},
+    }
 
 
 def test_vec_from_fractions_scaling():

@@ -9,6 +9,7 @@ import pytest
 import support
 import tables
 from koszulspec.koszul import KoszulWindow
+from koszulspec.linalg import IntEchelon, kernel_int_columns
 from koszulspec.polespec import (
     BoundViolation,
     PoleSpectrum,
@@ -29,6 +30,39 @@ def test_stage_one_state_matches_window():
     for k in range(win.k_max + 1):
         assert state.m_dim(k) == win.mu(k)
         assert state.n_dim(k) == win.nu(k)
+
+
+@pytest.mark.parametrize(
+    "text, variables, k_max",
+    [
+        ("x*y*z", support.VARS3, None),
+        ("x^2*y^2 + z^4", support.VARS3, None),
+        ("x^5 + y^5 + x^2*y^2*z", support.VARS3, None),
+        # the Cayley cubic with x, y, z, w scaled by 1, 2, 3, 5
+        ("6*x*y*z + 10*x*y*w + 15*x*z*w + 30*y*z*w", support.VARS4, 12),
+    ],
+)
+def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
+    """At every grading k the stage-1 generators are cycles, independent
+    modulo the boundaries, and together with the boundaries span every
+    cycle; checked exactly against the full (n-1, k-d) space."""
+    win = KoszulWindow(support.poly(text, variables), k_max=k_max)
+    state = SubquotientState(win)
+    n, d = win.n, win.d
+    for k in range(d + n - 1, win.k_max + 1):
+        m = k - d
+        wedge = win.wedge_columns(n - 1, m)
+        reps = [g.rep for g in state.gens.get(k, ())]
+        for z in reps:
+            image_ = {}
+            for c, x in z.items():
+                for r, v in wedge[c].items():
+                    image_[r] = image_.get(r, 0) + x * v
+            assert not any(image_.values())
+        span = IntEchelon()
+        span.add_many(win.wedge_columns(n - 2, m - d) if m >= d else [])
+        assert all(span.add(z) for z in reps)
+        assert all(span.contains(z) for z in kernel_int_columns(wedge).values())
 
 
 def _d1_rank(win, k):
