@@ -158,10 +158,6 @@ def _print_spectrum_block(
 # -- records and catalog -------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def run_record(
     command: str,
     input_text: str | None,
@@ -197,7 +193,7 @@ def run_record(
         "pole_spectrum": None
         if sp is None
         else {
-            "support": [[_frac_str(x), m] for x, m in sp.support],
+            "support": [[str(x), m] for x, m in sp.support],
             "truncated": sp.truncated,
             "stabilization_stage": sp.stabilization_stage,
         },
@@ -377,6 +373,13 @@ def _check_one(
     """Identity suite on one input; returns human-readable PASS lines.
     Violations raise."""
     f = parse_poly(poly_text, variables)
+    if binary_form is not None:
+        fac = parse_binary_form(binary_form)
+        if f.n != 2 or f.degree != fac.d:
+            raise ValueError(
+                f"the binary form {binary_form!r} has degree {fac.d} in 2 variables; "
+                f"the input has degree {f.degree} in {f.n}"
+            )
     tab = build_invariant_table(f, k_max=kmax, seed=seed)
     report = verify_corollaries(tab)
     lines = [f"identities: ok (defect sides {'nonnegative' if report.defect_sides_nonnegative else 'mixed sign'})"]
@@ -387,24 +390,26 @@ def _check_one(
         check_nodal_vanishing(tab)
         lines.append("nodal vanishing: ok")
     if binary_form is not None:
-        fac = parse_binary_form(binary_form)
         oracle = binary_invariant_table(fac, tab.k_max)
-        mism = [
-            name
-            for name, a, b in [
-                ("gamma", oracle.gamma, tab.gamma),
-                ("mu", oracle.mu, tab.mu),
-                ("mu'", oracle.mu_torsion, tab.mu_torsion),
-                ("mu''", oracle.mu_free, tab.mu_free),
-                ("nu", oracle.nu, tab.nu),
-            ]
-            if a != b
+        sp, closed = pole_spectrum(win), binary_pole_spectrum(fac).spectrum
+        # rows keyed by degree; the spectrum's multiplicity at k/d is keyed
+        # by k, and its two flags belong to no degree
+        pairs = [
+            (name, dict(enumerate(a)), dict(enumerate(b)))
+            for (name, a), (_, b) in zip(_table_rows(tab), _table_rows(oracle))
+        ] + [
+            ("Sp_P", {int(x * tab.d): m for x, m in sp.support}, {int(x * tab.d): m for x, m in closed.support}),
+            ("Sp_P truncated", {None: sp.truncated}, {None: closed.truncated}),
+            ("Sp_P stabilization stage", {None: sp.stabilization_stage}, {None: closed.stabilization_stage}),
         ]
-        sp = pole_spectrum(win)
-        if binary_pole_spectrum(fac).spectrum != sp:
-            mism.append("Sp_P")
-        if mism:
-            raise IdentityViolation([("closed-form-oracle", row, "engine", "closed") for row in mism])
+        violations = []
+        for name, a, b in pairs:
+            diff = [k for k in sorted(a.keys() | b.keys()) if a.get(k, 0) != b.get(k, 0)]
+            if diff:
+                k = diff[0]
+                violations.append((f"closed-form-oracle {name} (engine vs closed form)", k, a.get(k, 0), b.get(k, 0)))
+        if violations:
+            raise IdentityViolation(violations)
         lines.append("closed-form oracle: ok")
     if alpha_min is not None:
         sp = pole_spectrum(win)

@@ -47,11 +47,6 @@ class Series:
             return self.coeffs[k]
         return 0
 
-    def truncate(self, k_max: int) -> "Series":
-        if k_max > self.k_max:
-            raise ValueError("cannot widen a window: coefficients beyond it are unknown")
-        return Series(self.coeffs[: k_max + 1])
-
     def _common(self, other: "Series") -> int:
         return min(self.k_max, other.k_max)
 

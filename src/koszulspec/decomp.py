@@ -29,14 +29,14 @@ class AssumptionFailure(RuntimeError):
 
 
 class IdentityViolation(RuntimeError):
-    """A proved identity fails on exact data; carries degree and identity id."""
+    """A proved identity fails on exact data; carries degree and identity id.
+    A violation of a value that belongs to no degree has degree None."""
 
     def __init__(self, violations):
         self.violations = violations
-        first = violations[0]
-        super().__init__(
-            f"identity {first[0]} fails at degree {first[1]}: {first[2]} != {first[3]}"
-        )
+        name, k, lhs, rhs = violations[0]
+        where = "" if k is None else f" at degree {k}"
+        super().__init__(f"identity {name} fails{where}: {lhs} != {rhs}")
 
 
 @dataclass
@@ -124,7 +124,7 @@ class _SplitContext:
         if key not in self._spans:
             win = self.win
             cols = win.wedge_columns(win.n - 1, target_k - win.d)
-            self._spans[key] = ModularSpan(cols, win.dim(win.n, target_k), prime)
+            self._spans[key] = ModularSpan(cols, prime)
         return self._spans[key]
 
     def span_exact(self, target_k: int) -> IntEchelon:
@@ -143,7 +143,7 @@ class _SplitContext:
             r1 = self.span_mod(k + p, DEFAULT_PRIMES[1]).added_rank(cols)
             if r0 == r1:
                 return r0
-        return len(cols) - len(combo_kernel(cols, self.span_exact(k + p)))
+        return len(combo_kernel(cols, self.span_exact(k + p))[1])
 
 
 def mu_split(
@@ -274,21 +274,6 @@ def check_nodal_vanishing(tab: InvariantTable) -> None:
         raise IdentityViolation(bad)
 
 
-def low_degree_syzygy_dim(win: KoszulWindow, k: int) -> int:
-    """Dimension of the degree-k relations among the partial derivatives.
-
-    Only k <= d-2 is answered: below degree d-1 the wedge map into the
-    relevant spot has no image, so the whole kernel is genuine relations.
-    A nonzero value forces nu to be nonzero in degree d + n + k - 1.
-    """
-    if k > win.d - 2:
-        raise ValueError("only degrees at most d-2 carry unambiguous relations")
-    if k < 0:
-        return 0
-    m = k + win.n - 1
-    return win.dim(win.n - 1, m) - win.rank_wedge(win.n - 1, m)
-
-
 def build_invariant_table(
     f: HomogeneousPoly,
     k_max: int | None = None,
@@ -297,8 +282,9 @@ def build_invariant_table(
     """Full invariant table with validated generic splitting.
 
     The splitting form is drawn from `seed`; if the identity suite rejects it
-    the seed is advanced (at most three redraws), then everything is redone
-    with exact ranks before a violation is finally raised.
+    the seed is advanced (three modular attempts in all), then everything is
+    redone with exact ranks and the original seed before a violation is
+    finally raised.
     """
     win = KoszulWindow(f, k_max)
     if win.k_max < win.n * win.d:
@@ -306,40 +292,21 @@ def build_invariant_table(
     evidence = assumption_evidence(win)
     if not evidence.passed:
         raise AssumptionFailure(evidence)
-    t = tau(win)
-    gamma = [win.gamma(k) for k in range(win.k_max + 1)]
-    mu = [win.mu(k) for k in range(win.k_max + 1)]
-    nu = [win.nu(k) for k in range(win.k_max + 1)]
-
-    last_report = None
-    for attempt in range(3):
-        y = generic_linear_form(win.n, seed + attempt)
-        mu_t, mu_f = _split_window(win, y)
+    ks = range(win.k_max + 1)
+    for attempt_seed, exact in [(seed, False), (seed + 1, False), (seed + 2, False), (seed, True)]:
+        if exact:
+            win.force_exact()
+        t = tau(win)
+        y = generic_linear_form(win.n, attempt_seed)
+        mu_t, mu_f = _split_window(win, y, exact=exact)
         tab = InvariantTable(
             n=win.n, d=win.d, k_max=win.k_max, tau=t,
-            gamma=gamma, mu=mu, mu_torsion=mu_t, mu_free=mu_f, nu=nu,
-            type_flag="", seed=seed + attempt,
+            gamma=[win.gamma(k) for k in ks], mu=[win.mu(k) for k in ks],
+            mu_torsion=mu_t, mu_free=mu_f, nu=[win.nu(k) for k in ks],
+            type_flag="", seed=attempt_seed,
         )
         report = verify_corollaries(tab)
         if report.ok:
             tab.type_flag = classify_type(tab)
             return tab
-        last_report = report
-
-    # final attempt: exact ranks everywhere, original seed
-    win.force_exact()
-    t = tau(win)
-    mu = [win.mu(k) for k in range(win.k_max + 1)]
-    nu = [win.nu(k) for k in range(win.k_max + 1)]
-    y = generic_linear_form(win.n, seed)
-    mu_t, mu_f = _split_window(win, y, exact=True)
-    tab = InvariantTable(
-        n=win.n, d=win.d, k_max=win.k_max, tau=t,
-        gamma=gamma, mu=mu, mu_torsion=mu_t, mu_free=mu_f, nu=nu,
-        type_flag="", seed=seed,
-    )
-    report = verify_corollaries(tab)
-    if not report.ok:
-        raise IdentityViolation(report.violations)
-    tab.type_flag = classify_type(tab)
-    return tab
+    raise IdentityViolation(report.violations)

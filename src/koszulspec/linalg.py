@@ -365,10 +365,17 @@ class IntEchelon:
         return not res
 
 
-def combo_kernel(vectors: list[SparseVec], echelon: IntEchelon) -> list[SparseVec]:
-    """Coefficient vectors c such that sum_a c[a] * vectors[a] lies in the
-    span of `echelon`.  Basis of that coefficient space, exact: primitive
-    sparse integer vectors with their leading entry positive."""
+def combo_kernel(
+    vectors: list[SparseVec], echelon: IntEchelon
+) -> tuple[list[SparseVec], list[SparseVec]]:
+    """(coefficients, residuals).  The coefficients are the vectors c such
+    that sum_a c[a] * vectors[a] lies in the span of `echelon`, as a basis
+    of that space, exact: primitive sparse integer vectors with their
+    leading entry positive.  The residuals are those of `reduce_full` at
+    the pivot columns of that kernel: each is a positive multiple of its
+    vector minus a combination of the echelon's rows, they are independent
+    modulo the echelon, and adding them to it spans what adding all the
+    vectors would."""
     residuals: list[SparseVec] = []
     scales: list[Fraction] = []
     for v in vectors:
@@ -376,7 +383,8 @@ def combo_kernel(vectors: list[SparseVec], echelon: IntEchelon) -> list[SparseVe
         residuals.append(r)
         scales.append(s)
     raw = kernel_int_columns(residuals)
-    return [vec_from_fractions({a: v * scales[a] for a, v in b.items()})[0] for b in raw.values()]
+    coeffs = [vec_from_fractions({a: v * scales[a] for a, v in b.items()})[0] for b in raw.values()]
+    return coeffs, [r for a, r in enumerate(residuals) if a not in raw]
 
 
 # -- modular ranks ------------------------------------------------------------
@@ -453,13 +461,11 @@ class ModularSpan:
     """Span of integer vectors modulo a fixed prime, supporting incremental
     added-rank queries.  Used for rank computations of stacked matrices
     [A | B] - rank(A) without re-eliminating A.  The pivots are kept in
-    elimination order, `step` maps each pivot index to its place there;
-    `nrows`, the length of the vectors, is not needed by the sparse
-    elimination."""
+    elimination order, `step` maps each pivot index to its place there."""
 
     __slots__ = ("p", "pivots", "step")
 
-    def __init__(self, columns: list[SparseVec], nrows: int, p: int):
+    def __init__(self, columns: list[SparseVec], p: int):
         self.p = p
         self.pivots = _eliminate_mod(columns, p)
         self.step = {c: k for k, (c, _) in enumerate(self.pivots)}

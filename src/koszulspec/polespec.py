@@ -106,18 +106,21 @@ class SubquotientState:
         win = self.win
         n, d, K = win.n, win.d, win.k_max
         for k in range(K + 1):
-            ech = IntEchelon()
-            if k >= d:
-                ech.add_many(win.wedge_columns(n - 1, k - d))
-            self.rel[k] = ech
-            self.wlift[k] = []
-            if win.dim(n, k) - ech.dim != win.mu(k):
-                win.promote_exact(n - 1, k - d)
-                if win.dim(n, k) - ech.dim != win.mu(k):
-                    raise RuntimeError(f"rank disagreement at degree {k}")
-        for k in range(d + n - 1, K + 1):
             m = k - d
-            cyc = kernel_int_columns(win.wedge_columns(n - 1, m))
+            # one elimination of the (n-1, m) block serves both faces of df
+            # wedge: its kernel holds the cycles, and its pivot columns (the
+            # columns that are not free) are independent and span the image,
+            # the relations at k
+            cols = win.wedge_columns(n - 1, m)
+            cyc = kernel_int_columns(cols)
+            rel = IntEchelon()
+            rel.add_many(col for i, col in enumerate(cols) if i not in cyc)
+            self.rel[k] = rel
+            self.wlift[k] = []
+            if win.dim(n, k) - rel.dim != win.mu(k):
+                win.promote_exact(n - 1, m)
+                if win.dim(n, k) - rel.dim != win.mu(k):
+                    raise RuntimeError(f"rank disagreement at degree {k}")
             if not cyc:
                 continue
             bnd = win.wedge_columns(n - 2, m - d) if m >= d else []
@@ -188,8 +191,8 @@ class SubquotientState:
             # value space is zero from here on; the classes survive untouched
             return 0
         values = [g.value for g in glist]
-        kerco = combo_kernel(values, self.rel[j])
-        added = len(values) - len(kerco)
+        kerco, residuals = combo_kernel(values, self.rel[j])
+        added = len(residuals)
         self.image_dims[(r, j)] = added
         new_gens: list[_Gen] = []
         if kerco:
@@ -213,9 +216,10 @@ class SubquotientState:
                          value=_combine(win.derivative_columns(n - 1, j - d), lift))
                 )
         # commit: the processed lifts become adjustment freedom and their
-        # derivatives become relations, both only for later stages
+        # derivatives become relations, both only for later stages; the
+        # independent residuals span the same relations as the values
         self.wlift[j].extend(g.lift for g in glist)
-        self.rel[j].add_many(values)
+        self.rel[j].add_many(residuals)
         if new_gens:
             self.gens[k] = new_gens
         else:
@@ -282,8 +286,6 @@ class _TowerResult:
     nu_hist: dict[int, list[int]]
     r_star: int
     truncated: bool
-    mu_final: list[int]
-    nu_final: list[int]
     trusted_top: int
 
 
@@ -307,8 +309,7 @@ def _run_tower(win: KoszulWindow) -> _TowerResult:
         if added == 0:
             r_star = r
             break
-    mu_final = state._mu_row()
-    nu_final = state._nu_row()
+    mu_final, nu_final = state.mu_hist[state.stage], state.nu_hist[state.stage]
     trusted_top = K - (r_star - 1) * d
     nd = n * d
     truncated = active_at_cutoff or trusted_top < nd
@@ -321,8 +322,6 @@ def _run_tower(win: KoszulWindow) -> _TowerResult:
         nu_hist=state.nu_hist,
         r_star=r_star,
         truncated=truncated,
-        mu_final=mu_final,
-        nu_final=nu_final,
         trusted_top=trusted_top,
     )
     win._tower_result = result
@@ -333,9 +332,11 @@ def pole_spectrum(win: KoszulWindow) -> PoleSpectrum:
     """Spectrum of pole orders: sum over trusted degrees k of
     (mu^(r*)_k - nu^(r*)_k) placed at exponent k/d."""
     res = _run_tower(win)
+    top = max(res.mu_hist)
+    mu_final, nu_final = res.mu_hist[top], res.nu_hist[top]
     support = []
     for k in range(min(res.trusted_top, win.k_max) + 1):
-        m = res.mu_final[k] - res.nu_final[k]
+        m = mu_final[k] - nu_final[k]
         if m:
             support.append((Fraction(k, win.d), m))
     return PoleSpectrum(

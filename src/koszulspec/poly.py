@@ -139,18 +139,6 @@ class HomogeneousPoly:
             k >>= 1
         return result
 
-    def eval_at(self, point: list[Fraction] | tuple) -> Fraction:
-        if len(point) != self.n:
-            raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            value = coeff
-            for base, e in zip(point, expo):
-                if e:
-                    value *= Fraction(base) ** e
-            total += value
-        return total
-
     def integer_terms(self) -> dict[Exponent, int]:
         """Terms rescaled by a positive rational so all coefficients become
         integers with no common factor.  Rescaling f changes none of the

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from koszulspec import cli
 from koszulspec.cli import main
 
 GOLDEN_INVARIANTS_XYZ = """\
@@ -179,12 +180,27 @@ def test_check_closed_form_oracle(capsys):
     assert "bound: low-exponent multiplicity law ok" in out
 
 
-def test_check_oracle_mismatch_fails(capsys):
+def test_check_oracle_mismatch_fails(capsys, monkeypatch):
     # multiplicities that belong to a different polynomial
     code, out, err = run(
         capsys, "check", "x^2*y^2", "-v", "x,y", "--binary-form", "x:3,y:1"
     )
     assert code == 4
+    # the message names the row, the first degree where it differs and
+    # both values
+    assert "closed-form-oracle Sp_P (engine vs closed form) fails at degree 2: 1 != 0" in err
+    code, out, err = run(
+        capsys, "check", "x^3*y + x*y^3", "-v", "x,y", "--binary-form", "x:2,y:2"
+    )
+    assert code == 4
+    assert "closed-form-oracle mu' (engine vs closed form) fails at degree 2: 1 != 0" in err
+    # a binary form cannot describe a polynomial in three variables or of
+    # another degree: an input error, found before the engine runs
+    monkeypatch.setattr(cli, "build_invariant_table", None)
+    for argv in (["x*y*z", "--binary-form", "x:1,y:1"], ["x^2*y^2", "-v", "x,y", "--binary-form", "x:1,y:2"]):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert "error: the binary form" in err
 
 
 def test_check_bounds_with_exponent_file(tmp_path, capsys):
@@ -274,7 +290,7 @@ def test_check_corpus_keeps_going_past_a_bad_entry(tmp_path, capsys):
 def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
     """A bad alpha_min, exponents, binary_form or nodal value is an input
     error of its own entry, not a crash of the batch; so is a zero
-    denominator."""
+    denominator, and a binary form that cannot describe the input."""
     entries = [
         {"input": "x*y*z", "alpha_min": [1]},
         {"input": "x*y*z", "alpha_min": "1/0"},
@@ -282,6 +298,8 @@ def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
         {"input": "x*y*z", "alpha_min": "1/2", "exponents": "1/2"},
         {"input": "x^2*y^2", "vars": "x,y", "binary_form": 5},
         {"input": "x*y*z", "nodal": "yes"},
+        {"input": "x*y*z", "binary_form": "x:1,y:1"},
+        {"input": "x^3 + y^3 + z^3"},
     ]
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(json.dumps(e) + "\n" for e in entries))
@@ -296,7 +314,10 @@ def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
     assert lines[3].startswith("ERROR x*y*z:") and "exponents" in lines[3]
     assert lines[4].startswith("ERROR x^2*y^2:") and "binary_form" in lines[4]
     assert lines[5].startswith("ERROR x*y*z:") and "nodal" in lines[5]
-    assert lines[6] == "corpus: 6 records, 1 passed, 0 failed, 5 errors"
+    assert lines[6].startswith("ERROR x*y*z:") and "binary form" in lines[6]
+    assert lines[6].endswith("(exit 2)")
+    assert lines[7].startswith("PASS x^3 + y^3 + z^3:")
+    assert lines[8] == "corpus: 8 records, 2 passed, 0 failed, 6 errors"
 
 
 def test_cli_import_leaves_numpy_out():

@@ -6,6 +6,7 @@ import pytest
 
 import support
 import tables
+from koszulspec import decomp
 from koszulspec.decomp import (
     AssumptionFailure,
     IdentityViolation,
@@ -14,7 +15,6 @@ from koszulspec.decomp import (
     check_free_generators,
     check_nodal_vanishing,
     classify_type,
-    low_degree_syzygy_dim,
     mu_split,
     nodal_nu_bound,
     tau,
@@ -164,6 +164,43 @@ def test_seed_independence_of_split():
         assert a.seed == 0 and b.seed == 7
 
 
+def _skewed_split(monkeypatch, always: bool) -> list[bool]:
+    """Make `_split_window` return a split that breaks free-plus-nu (mu''
+    one too large everywhere) on every modular attempt, or on every attempt
+    when `always`; returns the `exact` flags of the calls."""
+    real = decomp._split_window
+    calls = []
+
+    def skewed(win, y, exact=False):
+        calls.append(exact)
+        mu_t, mu_f = real(win, y, exact=exact)
+        if always or not exact:
+            mu_f = [v + 1 for v in mu_f]
+        return mu_t, mu_f
+
+    monkeypatch.setattr(decomp, "_split_window", skewed)
+    return calls
+
+
+def test_table_falls_back_to_the_exact_attempt(monkeypatch):
+    """Three modular attempts with advancing seeds fail; the exact attempt
+    with the original seed gives the normal table."""
+    normal = build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
+    calls = _skewed_split(monkeypatch, always=False)
+    tab = build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
+    assert calls == [False, False, False, True]
+    assert tab == normal
+    assert tab.seed == 3
+
+
+def test_table_raises_when_every_attempt_fails(monkeypatch):
+    calls = _skewed_split(monkeypatch, always=True)
+    with pytest.raises(IdentityViolation) as err:
+        build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
+    assert calls == [False, False, False, True]
+    assert err.value.violations[0][0] == "free-plus-nu"
+
+
 def test_assumption_failure_raised():
     with pytest.raises(AssumptionFailure) as err:
         build_invariant_table(support.poly("x^2", support.VARS3))
@@ -190,33 +227,6 @@ def test_nodal_vanishing_rejects_early_nu():
     tab.nu[4] = 1
     with pytest.raises(IdentityViolation):
         check_nodal_vanishing(tab)
-
-
-def test_low_degree_syzygies():
-    win = support.corpus_window("xyz")
-    assert low_degree_syzygy_dim(win, 0) == 0
-    assert low_degree_syzygy_dim(win, 1) == 2
-    assert low_degree_syzygy_dim(win, -1) == 0
-    win2 = support.corpus_window("twoa3")
-    assert low_degree_syzygy_dim(win2, 1) == 1
-    win3 = support.corpus_window("fermat4_3")
-    assert low_degree_syzygy_dim(win3, 1) == 0
-    assert low_degree_syzygy_dim(win3, 2) == 0
-    with pytest.raises(ValueError):
-        low_degree_syzygy_dim(win3, 3)
-
-
-def test_low_degree_syzygy_forces_nu():
-    """A relation of degree k among the partials forces a syzygy class at
-    degree d + n + k - 1."""
-    for label in ("xyz", "twoa3", "fourlines", "cusp"):
-        win = support.corpus_window(label)
-        tab = support.corpus_table(label)
-        for k in range(win.d - 1):
-            s = low_degree_syzygy_dim(win, k)
-            if s > 0:
-                target = win.d + win.n + k - 1
-                assert tab.nu[target] != 0, (label, k)
 
 
 def test_syzygy_counts_match_first_nu():

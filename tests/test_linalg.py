@@ -212,7 +212,7 @@ def test_int_echelon_ignores_explicit_zeros():
     assert ech.reduce_full({0: 0, 1: -9})[0] == {}
     assert not ech.add({0: 0, 1: 4})
     # rank added to the span = number of vectors - dimension of combo_kernel
-    assert 2 - len(combo_kernel([{0: 0}, {0: 0, 1: 2}], ech)) == 0
+    assert 2 - len(combo_kernel([{0: 0}, {0: 0, 1: 2}], ech)[0]) == 0
 
 
 def test_int_echelon_rank_tracking():
@@ -222,14 +222,14 @@ def test_int_echelon_rank_tracking():
     assert ech.add({2: 5})
     assert ech.contains({0: 3, 1: 3, 2: -5})
     assert not ech.contains({0: 1})
-    assert 2 - len(combo_kernel([{0: 1}, {1: 1}], ech)) == 1
+    assert 2 - len(combo_kernel([{0: 1}, {1: 1}], ech)[0]) == 1
 
 
 def test_combo_kernel_combinations_land_in_span():
     ech = IntEchelon()
     ech.add({0: 1, 1: 1})
     vectors = [{0: 1, 1: 1}, {0: 2, 1: 2}, {2: 1}]
-    combos = combo_kernel(vectors, ech)
+    combos, residuals = combo_kernel(vectors, ech)
     assert combos, "the first two vectors are dependent modulo the span"
     for c in combos:
         acc = {}
@@ -240,6 +240,14 @@ def test_combo_kernel_combinations_land_in_span():
         assert ech.contains(residue)
         # the third vector never participates: it is independent
         assert c.get(2, 0) == 0
+    # one residual per independent vector: none carries a pivot column of
+    # the span, and together they extend it exactly as the vectors do
+    assert len(residuals) == len(vectors) - len(combos) == 1
+    assert not any(c in ech.rows for r in residuals for c in r)
+    with_residuals = IntEchelon()
+    with_residuals.add_many(ech.rows.values())
+    assert with_residuals.add_many(residuals) == len(residuals)
+    assert all(with_residuals.contains(v) for v in vectors)
 
 
 def _random_low_rank_columns(rng, nrows, ncols, rank, big):
@@ -329,7 +337,7 @@ def test_vec_from_fractions_scaling():
 
 
 def test_modular_span_added_rank():
-    span = ModularSpan([{0: 1, 1: 2}], 4, DEFAULT_PRIMES[0])
+    span = ModularSpan([{0: 1, 1: 2}], DEFAULT_PRIMES[0])
     assert span.rank == 1
     assert span.added_rank([{0: 2, 1: 4}]) == 0
     assert span.added_rank([{2: 1}, {2: 3}]) == 1
@@ -382,7 +390,7 @@ def test_modular_path_property():
         for p in DEFAULT_PRIMES:
             full = rank_mod(cols, nrows, p)
             assert full == _dense_rank_mod(cols, nrows, p)
-            span = ModularSpan(cols[:k], nrows, p)
+            span = ModularSpan(cols[:k], p)
             assert span.rank == rank_mod(cols[:k], nrows, p)
             assert span.added_rank(cols[k:]) == full - span.rank
             assert span.added_rank(cols[k:]) == full - span.rank  # span unchanged

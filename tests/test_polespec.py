@@ -45,10 +45,16 @@ def test_stage_one_state_matches_window():
 def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
     """At every grading k the stage-1 generators are cycles, independent
     modulo the boundaries, and together with the boundaries span every
-    cycle; checked exactly against the full (n-1, k-d) space."""
+    cycle; checked exactly against the full (n-1, k-d) space.  The stage-1
+    relations at k are exactly the image of the (n-1, k-d) block, and after
+    the stage every committed value lies in the relations it entered."""
     win = KoszulWindow(support.poly(text, variables), k_max=k_max)
     state = SubquotientState(win)
     n, d = win.n, win.d
+    for k in range(win.k_max + 1):
+        cols = win.wedge_columns(n - 1, k - d)
+        assert all(state.rel[k].contains(c) for c in cols)
+        assert state.rel[k].dim == len(cols) - len(kernel_int_columns(cols))
     for k in range(d + n - 1, win.k_max + 1):
         m = k - d
         wedge = win.wedge_columns(n - 1, m)
@@ -63,6 +69,10 @@ def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
         span.add_many(win.wedge_columns(n - 2, m - d) if m >= d else [])
         assert all(span.add(z) for z in reps)
         assert all(span.contains(z) for z in kernel_int_columns(wedge).values())
+    committed = {k - d: [g.value for g in gens] for k, gens in state.gens.items()}
+    state.finish_stage()
+    for j, values in committed.items():
+        assert all(state.rel[j].contains(v) for v in values), j
 
 
 def _d1_rank(win, k):

@@ -142,15 +142,6 @@ def test_partials_euler_identity():
         assert acc == f.scale(d)
 
 
-def test_eval_at_homogeneity():
-    f = parse_poly("x^2*y^2 + z^4", XYZ)
-    p = [Fraction(2), Fraction(-1), Fraction(1, 2)]
-    t = Fraction(3)
-    scaled = [t * c for c in p]
-    assert f.eval_at(scaled) == t**4 * f.eval_at(p)
-    assert f.eval_at([1, 1, 1]) == 2
-
-
 def test_integer_terms():
     f = parse_poly("1/2*x^2 + 1/3*y^2", ["x", "y"])
     assert f.integer_terms() == {(2, 0): 3, (0, 2): 2}
