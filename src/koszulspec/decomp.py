@@ -108,15 +108,14 @@ class _SplitContext:
         return terms
 
     def mult_columns(self, k: int, p: int) -> list[SparseVec]:
+        """Columns of multiplication by y^p from n-forms of degree k to
+        degree k + p; n-forms have a single index set, so a row is a
+        monomial position."""
         win = self.win
-        target = win.basis_index(win.n, k + p)
-        terms = self.y_power(p)
-        cols: list[SparseVec] = []
-        for idx, expo in win.basis(win.n, k):
-            col: SparseVec = {}
-            for add, c in terms.items():
-                col[target[(idx, tuple(a + b for a, b in zip(expo, add)))]] = c
-            cols.append(col)
+        cols: list[SparseVec] = [{} for _ in win.monomials(k - win.n)]
+        for add, c in self.y_power(p).items():
+            for col, r in zip(cols, win.shift(k - win.n, add)):
+                col[r] = c
         return cols
 
     def span_mod(self, target_k: int, prime: int) -> ModularSpan:
@@ -158,8 +157,15 @@ def mu_split(
     p = max(1, win.n * win.d - k)
     if k + p > win.k_max:
         raise ValueError(f"split at degree {k} needs window k_max >= {k + p}")
-    ctx = _ctx if _ctx is not None else _SplitContext(win, y)
-    free = ctx.free_rank(k, p, exact=exact)
+    # A map into the zero space has rank 0, so an empty target needs no
+    # elimination.  This holds on the modular path too: a rank mod p never
+    # exceeds the rank over Q, so a mu read off modular ranks is never below
+    # the true mu, and mu(k + p) == 0 means the target is zero over Q.
+    if win.mu(k + p) == 0:
+        free = 0
+    else:
+        ctx = _ctx if _ctx is not None else _SplitContext(win, y)
+        free = ctx.free_rank(k, p, exact=exact)
     total = win.mu(k)
     return total - free, free
 

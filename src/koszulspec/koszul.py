@@ -23,7 +23,6 @@ from .poly import HomogeneousPoly
 
 IndexSet = tuple[int, ...]
 Exponent = tuple[int, ...]
-BasisItem = tuple[IndexSet, Exponent]
 
 
 def omega_dim(n: int, j: int, k: int) -> int:
@@ -45,22 +44,14 @@ def _monomials(n: int, m: int):
             yield (first,) + rest
 
 
-def basis(j: int, k: int, n: int) -> list[BasisItem]:
-    """Ordered monomial basis of the degree-k piece of j-forms: index sets in
-    lexicographic order, then exponents in lexicographic order."""
-    if j < 0 or j > n or k < j:
-        return []
-    out: list[BasisItem] = []
-    for idx in combinations(range(n), j):
-        for expo in _monomials(n, k - j):
-            out.append((idx, expo))
-    return out
-
-
 def wedge_sign(i: int, idx: IndexSet) -> int:
     """Sign of dx_i wedged onto dx_idx, i.e. (-1)^#{l in idx : l < i}."""
     flips = sum(1 for l in idx if l < i)
     return -1 if flips & 1 else 1
+
+
+def _unit(n: int, i: int) -> Exponent:
+    return tuple(int(l == i) for l in range(n))
 
 
 def _insert_index(i: int, idx: IndexSet) -> IndexSet:
@@ -97,6 +88,9 @@ class KoszulWindow:
     Ranks are cached per (form degree, grading degree).  The default rank
     path reduces modulo two fixed primes and promotes to exact elimination
     on disagreement; force_exact() recomputes every cached rank exactly.
+    The monomial lists and offset maps the columns are built from are
+    cached on the window too, never module-wide, so every window starts
+    from the same cold state.
     """
 
     def __init__(self, f: HomogeneousPoly, k_max: int | None = None):
@@ -118,8 +112,9 @@ class KoszulWindow:
                     low[i] -= 1
                     pd[tuple(low)] = c * expo[i]
             self.partial_terms.append(pd)
-        self._basis: dict[tuple[int, int], list[BasisItem]] = {}
-        self._index: dict[tuple[int, int], dict[BasisItem, int]] = {}
+        self._monos: dict[int, list[Exponent]] = {}
+        self._shifts: dict[tuple[int, Exponent], list[int]] = {}
+        self._subsets: dict[int, dict[IndexSet, int]] = {}
         self._wedge_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._deriv_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._rank: dict[tuple[int, int], int] = {}
@@ -129,23 +124,62 @@ class KoszulWindow:
         self._tower_result = None
 
     # -- bases ---------------------------------------------------------------
-
-    def basis(self, j: int, k: int) -> list[BasisItem]:
-        key = (j, k)
-        if key not in self._basis:
-            self._basis[key] = basis(j, k, self.n)
-        return self._basis[key]
-
-    def basis_index(self, j: int, k: int) -> dict[BasisItem, int]:
-        key = (j, k)
-        if key not in self._index:
-            self._index[key] = {item: p for p, item in enumerate(self.basis(j, k))}
-        return self._index[key]
+    #
+    # The degree-k piece of j-forms has the basis dx_idx * x^a: index sets
+    # idx in lexicographic order, and within each the exponents a of degree
+    # k - j in lexicographic order.  So (idx, a) sits at column position
+    # subsets(j)[idx] * N + (position of a in monomials(k - j)), N being the
+    # number of monomials of degree k - j.
 
     def dim(self, j: int, k: int) -> int:
         return omega_dim(self.n, j, k)
 
+    def monomials(self, m: int) -> list[Exponent]:
+        """Exponents of degree m in lexicographic order; cached."""
+        if m not in self._monos:
+            self._monos[m] = list(_monomials(self.n, m))
+        return self._monos[m]
+
+    def subsets(self, j: int) -> dict[IndexSet, int]:
+        """Position of each j-element index set in lexicographic order."""
+        if j not in self._subsets:
+            self._subsets[j] = {idx: p for p, idx in enumerate(combinations(range(self.n), j))}
+        return self._subsets[j]
+
+    def shift(self, m: int, e: Exponent) -> list[int]:
+        """Offset map of multiplication by x^e: for each monomial x^a of
+        degree m, in lexicographic order, the position of x^(a+e) among the
+        monomials of degree m + |e|.  The unit maps of a degree are built
+        together from one index of the degree above; every other map is a
+        unit map composed with a cached shorter one, one list pass each."""
+        key = (m, e)
+        table = self._shifts.get(key)
+        if table is not None:
+            return table
+        nonzero = [i for i, a in enumerate(e) if a]
+        if not nonzero:
+            table = list(range(len(self.monomials(m))))
+        elif sum(e) == 1:
+            pos = {a: p for p, a in enumerate(self.monomials(m + 1))}
+            for i in range(self.n):
+                self._shifts[(m, _unit(self.n, i))] = [
+                    pos[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in self.monomials(m)
+                ]
+            return self._shifts[key]
+        else:
+            i = nonzero[-1]
+            step = self.shift(m + sum(e) - 1, _unit(self.n, i))
+            table = [step[r] for r in self.shift(m, e[:i] + (e[i] - 1,) + e[i + 1 :])]
+        self._shifts[key] = table
+        return table
+
     # -- matrices --------------------------------------------------------------
+    #
+    # Both builders fill a whole index-set block at once: for a fixed index
+    # set, target index set and monomial factor, column q gets its entry at
+    # row base + shift[q].  Different (i, factor) pairs hit different rows,
+    # so nothing accumulates, and each column receives its keys with i
+    # ascending, then in the order of the factor's terms.
 
     def wedge_columns(self, j: int, m: int) -> list[SparseVec]:
         """Integer columns of df wedge : (j-forms, degree m) -> (j+1, m+d)."""
@@ -154,23 +188,26 @@ class KoszulWindow:
             return self._wedge_cols[key]
         cols: list[SparseVec] = []
         if 0 <= j < self.n and m >= j:
-            target = self.basis_index(j + 1, m + self.d)
-            for idx, expo in self.basis(j, m):
-                col: SparseVec = {}
+            deg = m - j
+            size = len(self.monomials(deg + self.d - 1))
+            target = self.subsets(j + 1)
+            maps = [
+                [(self.shift(deg, pexp), c) for pexp, c in terms.items()]
+                for terms in self.partial_terms
+            ]
+            count = len(self.monomials(deg))
+            for idx in combinations(range(self.n), j):
+                block: list[SparseVec] = [{} for _ in range(count)]
                 for i in range(self.n):
                     if i in idx:
                         continue
                     s = wedge_sign(i, idx)
-                    tgt_idx = _insert_index(i, idx)
-                    for pexp, c in self.partial_terms[i].items():
-                        texp = tuple(a + b for a, b in zip(expo, pexp))
-                        r = target[(tgt_idx, texp)]
-                        acc = col.get(r, 0) + s * c
-                        if acc:
-                            col[r] = acc
-                        else:
-                            del col[r]
-                cols.append(col)
+                    base = target[_insert_index(i, idx)] * size
+                    for offsets, c in maps[i]:
+                        v = s * c
+                        for col, r in zip(block, offsets):
+                            col[base + r] = v
+                cols.extend(block)
         self._wedge_cols[key] = cols
         return cols
 
@@ -181,17 +218,23 @@ class KoszulWindow:
             return self._deriv_cols[key]
         cols: list[SparseVec] = []
         if 0 <= j < self.n and m >= j:
-            target = self.basis_index(j + 1, m)
-            for idx, expo in self.basis(j, m):
-                col: SparseVec = {}
+            deg = m - j
+            monos = self.monomials(deg)
+            size = len(self.monomials(deg - 1))
+            target = self.subsets(j + 1)
+            # the unit map (deg - 1, i) inverts d/dx_i: it sends x^b to the
+            # column of x^(b + e_i), whose derivative lands on row x^b
+            units = [self.shift(deg - 1, _unit(self.n, i)) for i in range(self.n)]
+            for idx in combinations(range(self.n), j):
+                block: list[SparseVec] = [{} for _ in monos]
                 for i in range(self.n):
-                    if i in idx or expo[i] == 0:
+                    if i in idx:
                         continue
-                    low = list(expo)
-                    low[i] -= 1
-                    r = target[(_insert_index(i, idx), tuple(low))]
-                    col[r] = wedge_sign(i, idx) * expo[i]
-                cols.append(col)
+                    s = wedge_sign(i, idx)
+                    base = target[_insert_index(i, idx)] * size
+                    for r, q in enumerate(units[i]):
+                        block[q][base + r] = s * monos[q][i]
+                cols.extend(block)
         self._deriv_cols[key] = cols
         return cols
 

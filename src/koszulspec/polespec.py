@@ -246,11 +246,14 @@ class SubquotientState:
 @dataclass
 class PoleSpectrum:
     """Pole order spectrum: exact rational exponents k/d with (possibly
-    negative) integer multiplicities, plus honesty flags."""
+    negative) integer multiplicities, plus honesty flags.  `trusted_top` is
+    the largest degree k the window determines; None for a closed form,
+    which knows every degree."""
 
     support: list[tuple[Fraction, int]]
     truncated: bool
     stabilization_stage: int
+    trusted_top: int | None = None
 
     def coefficient(self, expo) -> int:
         e = Fraction(expo)
@@ -334,8 +337,9 @@ def pole_spectrum(win: KoszulWindow) -> PoleSpectrum:
     res = _run_tower(win)
     top = max(res.mu_hist)
     mu_final, nu_final = res.mu_hist[top], res.nu_hist[top]
+    top_k = min(res.trusted_top, win.k_max)
     support = []
-    for k in range(min(res.trusted_top, win.k_max) + 1):
+    for k in range(top_k + 1):
         m = mu_final[k] - nu_final[k]
         if m:
             support.append((Fraction(k, win.d), m))
@@ -343,6 +347,7 @@ def pole_spectrum(win: KoszulWindow) -> PoleSpectrum:
         support=support,
         truncated=res.truncated,
         stabilization_stage=res.r_star,
+        trusted_top=top_k,
     )
 
 

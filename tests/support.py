@@ -8,6 +8,7 @@ caches its own result on the window object.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from koszulspec.closedform import BinaryFormFactorization
@@ -240,3 +241,88 @@ def modular_rank_agreement(count=100, seed=20260825):
         if modular_ranks(cols, nrows) == (r_exact, r_exact) and r_exact == dense_rank(cols, nrows):
             agree += 1
     return agree
+
+
+# -- reference column builders --------------------------------------------------
+#
+# The tuple-keyed construction the window's offset maps replaced: a basis
+# listed as (index set, exponent) pairs, a dict from pair to position, and
+# one tuple lookup per entry.  Slow but plain; the column tests compare the
+# window's builders with it entry for entry and in key order.
+
+
+def lex_monomials(n, m):
+    """Exponent tuples of degree m in lexicographic order."""
+    out = []
+    for factors in combinations_with_replacement(range(n), m):
+        expo = [0] * n
+        for v in factors:
+            expo[v] += 1
+        out.append(tuple(expo))
+    return sorted(out)
+
+
+def reference_basis(n, j, k):
+    """(index set, exponent) pairs of the degree-k piece of j-forms, index
+    sets first, both in lexicographic order."""
+    if j < 0 or j > n or k < j:
+        return []
+    return [(idx, expo) for idx in combinations(range(n), j) for expo in lex_monomials(n, k - j)]
+
+
+def _reference_index(n, j, k):
+    return {item: p for p, item in enumerate(reference_basis(n, j, k))}
+
+
+def _inserted(i, idx):
+    return tuple(sorted(idx + (i,)))
+
+
+def _sign(i, idx):
+    return -1 if sum(1 for l in idx if l < i) & 1 else 1
+
+
+def reference_wedge_columns(win, j, m):
+    cols = []
+    if 0 <= j < win.n and m >= j:
+        target = _reference_index(win.n, j + 1, m + win.d)
+        for idx, expo in reference_basis(win.n, j, m):
+            col = {}
+            for i in range(win.n):
+                if i in idx:
+                    continue
+                for pexp, c in win.partial_terms[i].items():
+                    r = target[(_inserted(i, idx), tuple(a + b for a, b in zip(expo, pexp)))]
+                    acc = col.get(r, 0) + _sign(i, idx) * c
+                    if acc:
+                        col[r] = acc
+                    else:
+                        del col[r]
+            cols.append(col)
+    return cols
+
+
+def reference_derivative_columns(win, j, m):
+    cols = []
+    if 0 <= j < win.n and m >= j:
+        target = _reference_index(win.n, j + 1, m)
+        for idx, expo in reference_basis(win.n, j, m):
+            col = {}
+            for i in range(win.n):
+                if i in idx or expo[i] == 0:
+                    continue
+                low = list(expo)
+                low[i] -= 1
+                col[target[(_inserted(i, idx), tuple(low))]] = _sign(i, idx) * expo[i]
+            cols.append(col)
+    return cols
+
+
+def reference_mult_columns(win, terms, k, p):
+    """Multiplication by the form with exponent -> coefficient `terms`, of
+    degree p, from n-forms of degree k."""
+    target = _reference_index(win.n, win.n, k + p)
+    return [
+        {target[(idx, tuple(a + b for a, b in zip(expo, add)))]: c for add, c in terms.items()}
+        for idx, expo in reference_basis(win.n, win.n, k)
+    ]

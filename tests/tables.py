@@ -160,6 +160,11 @@ FERMAT_CUBIC = {
     "text": "x^3 + y^3 + z^3",
     "variables": ("x", "y", "z"),
     "tau": 0,
+    # M is the Milnor algebra: all torsion, gamma in every degree
+    "mu": {"start": 3, "head": [1, 3, 3, 1], "tail": 0},
+    "mu_torsion": {"start": 3, "head": [1, 3, 3, 1], "tail": 0},
+    "mu_free": ZERO,
+    "nu": ZERO,
     "spectrum": [(F(1), 1), (F(4, 3), 3), (F(5, 3), 3), (F(2), 1)],
     "stage": 1,
 }

@@ -180,6 +180,25 @@ def test_check_closed_form_oracle(capsys):
     assert "bound: low-exponent multiplicity law ok" in out
 
 
+def test_check_oracle_on_a_truncated_window(capsys):
+    """At --kmax 9 the engine spectrum of x^2*y^2 is truncated with trusted
+    top 5: the oracle compares the closed form up to there and skips the
+    two flags; a closed form that differs inside that range still fails."""
+    code, out, _ = run(
+        capsys, "check", "x^2*y^2", "-v", "x,y", "--binary-form", "x:2,y:2", "--kmax", "9"
+    )
+    assert code == 0
+    assert (
+        "closed-form oracle: ok (truncated window: Sp_P compared through degree 5, "
+        "truncation and stabilization flags skipped)"
+    ) in out
+    code, _, err = run(
+        capsys, "check", "x^2*y^2", "-v", "x,y", "--binary-form", "x:3,y:1", "--kmax", "9"
+    )
+    assert code == 4
+    assert "closed-form-oracle Sp_P (engine vs closed form) fails at degree 2: 1 != 0" in err
+
+
 def test_check_oracle_mismatch_fails(capsys, monkeypatch):
     # multiplicities that belong to a different polynomial
     code, out, err = run(

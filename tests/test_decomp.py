@@ -233,3 +233,30 @@ def test_syzygy_counts_match_first_nu():
     # for the two detector examples the count equals the first nu entry
     assert support.corpus_table("xyz").nu[6] == 2
     assert support.corpus_table("twoa3").nu[7] == 1
+
+
+def test_split_skips_a_zero_target(monkeypatch):
+    """Where mu(k + p) = 0 the free rank is 0 without any elimination: on a
+    smooth input every target is zero, so the table never calls free_rank;
+    on a singular one it still does."""
+    real = decomp._SplitContext.free_rank
+    calls = []
+
+    def refuse(self, k, p, exact=False):
+        raise AssertionError(f"free_rank({k}, {p}) called")
+
+    monkeypatch.setattr(decomp._SplitContext, "free_rank", refuse)
+    data = tables.FERMAT_CUBIC
+    tab = build_invariant_table(support.poly(data["text"], data["variables"]))
+    assert tab.tau == data["tau"]
+    for key in ("mu", "mu_torsion", "mu_free", "nu"):
+        tables.assert_row(getattr(tab, key), data[key], label=f"fermat cubic.{key}")
+
+    def counted(self, k, p, exact=False):
+        calls.append((k, p))
+        return real(self, k, p, exact=exact)
+
+    monkeypatch.setattr(decomp._SplitContext, "free_rank", counted)
+    tab = build_invariant_table(support.corpus_poly("xyz"))
+    assert calls
+    tables.assert_row(tab.mu_free, tables.XYZ["mu_free"], label="xyz.mu_free")

@@ -1,11 +1,13 @@
 """Koszul complex layer: graded dimensions, wedge ranks, cohomology rows."""
 
 import math
+import random
 
 import pytest
 
 import support
 import tables
+from koszulspec.decomp import _SplitContext
 from koszulspec.koszul import (
     KoszulWindow,
     assumption_evidence,
@@ -13,6 +15,7 @@ from koszulspec.koszul import (
     omega_dim,
 )
 from koszulspec.polespec import _combine
+from koszulspec.poly import generic_linear_form
 
 
 def test_omega_dim_closed_form():
@@ -178,3 +181,61 @@ def test_assumption_evidence_fails_on_bad_locus():
     win = support.window("x^2", support.VARS3)
     ev = assumption_evidence(win)
     assert not ev.passed
+
+
+# -- column builders against the tuple-keyed reference --------------------------
+
+# (text, variables, largest source degree m checked); n = 2..5, with
+# negative and non-unit coefficients and a mixed monomial
+COLUMN_CASES = [
+    ("x^3*y^2 - 7*x*y^4", support.VARS2, 9),
+    ("x^5 + y^5 + x^2*y^2*z", support.VARS3, 9),
+    ("3*x^2*y^3 + 7*z^5 - 11*w^5 + 5*x*y*z*w^2", support.VARS4, 9),
+    ("x^2*y^2 + z^4 - 2*w^4 + v^4 + 3*x*y*z*v", ("x", "y", "z", "w", "v"), 7),
+]
+
+
+def _entries(cols):
+    """Columns as key-ordered entry lists, so key order counts."""
+    return [list(col.items()) for col in cols]
+
+
+@pytest.mark.parametrize("text, variables, top", COLUMN_CASES)
+def test_columns_match_reference_builders(text, variables, top):
+    """df wedge, the exterior derivative and multiplication by y^p equal
+    the tuple-keyed construction entry for entry and in key order, which
+    pins every elimination tie-break downstream."""
+    win = KoszulWindow(support.poly(text, variables))
+    for j in range(win.n):
+        for m in range(j, top + 1):
+            assert _entries(win.wedge_columns(j, m)) == _entries(
+                support.reference_wedge_columns(win, j, m)
+            ), (j, m)
+            assert _entries(win.derivative_columns(j, m)) == _entries(
+                support.reference_derivative_columns(win, j, m)
+            ), (j, m)
+    ctx = _SplitContext(win, generic_linear_form(win.n, 5))
+    for k in range(win.n, top + 1):
+        for p in (1, 2, 3):
+            assert _entries(ctx.mult_columns(k, p)) == _entries(
+                support.reference_mult_columns(win, ctx.y_power(p), k, p)
+            ), (k, p)
+
+
+def test_shift_maps_add_exponents():
+    """monomials(m + |e|)[shift(m, e)[a]] == monomials(m)[a] + e, for every
+    unit exponent up to degree 6 and for seeded random degrees and
+    exponents."""
+    rng = random.Random(20261018)
+    for n in (2, 3, 4, 5):
+        variables = tuple(f"x{i}" for i in range(n))
+        win = KoszulWindow(support.poly(" + ".join(f"{v}^3" for v in variables), variables))
+        units = [(m, tuple(int(l == i) for l in range(n))) for m in range(7) for i in range(n)]
+        drawn = [(rng.randint(0, 6), tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(12)]
+        for m, e in units + drawn:
+            src, dst = win.monomials(m), win.monomials(m + sum(e))
+            assert src == support.lex_monomials(n, m)
+            table = win.shift(m, e)
+            assert len(table) == len(src)
+            for a, r in zip(src, table):
+                assert dst[r] == tuple(x + y for x, y in zip(a, e)), (m, e, a)

@@ -8,6 +8,7 @@ import pytest
 
 import support
 import tables
+from koszulspec.decomp import build_invariant_table
 from koszulspec.koszul import KoszulWindow
 from koszulspec.linalg import IntEchelon, kernel_int_columns
 from koszulspec.polespec import (
@@ -319,3 +320,37 @@ def test_exponent_bounds_reject_bad_spectrum():
     fake = PoleSpectrum(support=[(F(3, 4), 2)], truncated=False, stabilization_stage=2)
     with pytest.raises(BoundViolation):
         check_exponent_bounds(tab, 1, spectrum=fake)
+
+
+@pytest.mark.parametrize(
+    "text, k_max, truncated",
+    [
+        # truncated at 20 (trusted top 10), untruncated at 25
+        ("x^5 + y^5 + x^2*y^2*z", 20, True),
+        ("x^2*y^2 + z^4", 16, False),
+        ("x^2*y^3 + z^5", 20, False),
+    ],
+)
+def test_window_extension_oracle(text, k_max, truncated):
+    """Enlarging the window by d changes nothing the smaller window trusts:
+    the table rows over the whole smaller window, every stage row and the
+    spectrum up to its trusted top; an untruncated spectrum stays as it is."""
+    f = support.poly(text, support.VARS3)
+    small, big = KoszulWindow(f, k_max), KoszulWindow(f, k_max + f.degree)
+    tab_small = build_invariant_table(f, k_max=k_max)
+    tab_big = build_invariant_table(f, k_max=k_max + f.degree)
+    for key in ("gamma", "mu", "mu_torsion", "mu_free", "nu"):
+        assert getattr(tab_big, key)[: k_max + 1] == getattr(tab_small, key), key
+    sp_small, sp_big = pole_spectrum(small), pole_spectrum(big)
+    assert sp_small.truncated is truncated and not sp_big.truncated
+    top = sp_small.trusted_top
+    for r in range(1, sp_small.stabilization_stage + 1):
+        mu_s, nu_s = stage_snapshot(small, r)
+        mu_b, nu_b = stage_snapshot(big, r)
+        assert mu_b[: top + 1] == mu_s[: top + 1], r
+        assert nu_b[: top + 1] == nu_s[: top + 1], r
+    assert [(x, m) for x, m in sp_big.support if x * f.degree <= top] == sp_small.support
+    if not truncated:
+        assert sp_big == PoleSpectrum(
+            sp_small.support, False, sp_small.stabilization_stage, sp_big.trusted_top
+        )
