@@ -543,9 +543,12 @@ def _check_corpus(args) -> int:
             entry = json.loads(line)
             if not isinstance(entry, dict):
                 raise ValueError("not a JSON object")
-            label = entry.get("input", label)
+            text = entry.get("input")
+            if not isinstance(text, str):
+                raise ValueError("'input' must be a string")
+            label = text
             checks = _check_one(
-                entry["input"],
+                text,
                 _variable_names(entry.get("vars", args.vars)),
                 _optional_int(entry.get("k_max"), "k_max"),
                 _optional_int(entry.get("seed", args.seed), "seed"),

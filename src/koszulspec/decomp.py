@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .koszul import KoszulWindow, assumption_evidence
-from .linalg import DEFAULT_PRIMES, IntEchelon, ModularSpan, SparseVec, combo_kernel
+from .linalg import SparseVec
 from .poly import HomogeneousPoly, generic_linear_form
 
 
@@ -82,112 +82,45 @@ def tau(win: KoszulWindow) -> int:
     return hi
 
 
-class _SplitContext:
-    """Caches for the multiplication-rank computation, per linear form."""
+def mult_columns(win: KoszulWindow, k: int, terms: dict[tuple[int, ...], int]) -> list[SparseVec]:
+    """Columns of multiplication by the form with exponent -> integer
+    coefficient `terms`, from n-forms of degree k; n-forms have a single
+    index set, so a row is a monomial position."""
+    m = k - win.n
+    cols: list[SparseVec] = [{} for _ in win.monomials(m)]
+    for add, c in terms.items():
+        for col, r in zip(cols, win.shift(m, add)):
+            col[r] = c
+    return cols
 
-    def __init__(self, win: KoszulWindow, y: HomogeneousPoly):
-        self.win = win
-        self.y_terms = y.integer_terms()
-        self._powers: dict[int, dict[tuple[int, ...], int]] = {}
-        self._spans: dict[tuple[int, int], ModularSpan] = {}
-        self._exact_spans: dict[int, IntEchelon] = {}
 
-    def y_power(self, p: int) -> dict[tuple[int, ...], int]:
-        if p in self._powers:
-            return self._powers[p]
-        if p == 1:
-            terms = dict(self.y_terms)
-        else:
-            prev = self.y_power(p - 1)
-            terms = {}
-            for ea, ca in prev.items():
-                for eb, cb in self.y_terms.items():
+def _split_window(win: KoszulWindow, y: HomogeneousPoly):
+    """mu_torsion / mu_free over the whole window.  The torsion support is
+    symmetric under k -> n*d - k and empty below n, so above n*d - n the
+    split is just mu itself.  For n <= k <= n*d - n the free part is the
+    rank of multiplication by y^p, p = n*d - k, into M_{n*d}."""
+    n, nd = win.n, win.n * win.d
+    mu = [win.mu(k) for k in range(win.k_max + 1)]
+    mu_f = [m if k > nd - n else 0 for k, m in enumerate(mu)]
+    # A map into the zero space has rank 0, so a zero M_{n*d} makes every
+    # degree torsion without any elimination.  This holds on the modular
+    # path too: a rank mod p never exceeds the rank over Q, so a mu read off
+    # modular ranks is never below the true mu, and mu(n*d) == 0 means the
+    # target is zero over Q.
+    if mu[nd]:
+        y_terms = y.integer_terms()
+        power = {(0,) * n: 1}
+        for p in range(1, nd - n + 1):
+            nxt: dict[tuple[int, ...], int] = {}
+            for ea, ca in power.items():
+                for eb, cb in y_terms.items():
                     key = tuple(a + b for a, b in zip(ea, eb))
-                    terms[key] = terms.get(key, 0) + ca * cb
-        self._powers[p] = terms
-        return terms
-
-    def mult_columns(self, k: int, p: int) -> list[SparseVec]:
-        """Columns of multiplication by y^p from n-forms of degree k to
-        degree k + p; n-forms have a single index set, so a row is a
-        monomial position."""
-        win = self.win
-        cols: list[SparseVec] = [{} for _ in win.monomials(k - win.n)]
-        for add, c in self.y_power(p).items():
-            for col, r in zip(cols, win.shift(k - win.n, add)):
-                col[r] = c
-        return cols
-
-    def span_mod(self, target_k: int, prime: int) -> ModularSpan:
-        key = (target_k, prime)
-        if key not in self._spans:
-            win = self.win
-            cols = win.wedge_columns(win.n - 1, target_k - win.d)
-            self._spans[key] = ModularSpan(cols, prime)
-        return self._spans[key]
-
-    def span_exact(self, target_k: int) -> IntEchelon:
-        if target_k not in self._exact_spans:
-            win = self.win
-            ech = IntEchelon()
-            ech.add_many(win.wedge_columns(win.n - 1, target_k - win.d))
-            self._exact_spans[target_k] = ech
-        return self._exact_spans[target_k]
-
-    def free_rank(self, k: int, p: int, exact: bool = False) -> int:
-        """Rank of multiplication by y^p from degree k into degree k+p of M."""
-        cols = self.mult_columns(k, p)
-        if not exact:
-            r0 = self.span_mod(k + p, DEFAULT_PRIMES[0]).added_rank(cols)
-            r1 = self.span_mod(k + p, DEFAULT_PRIMES[1]).added_rank(cols)
-            if r0 == r1:
-                return r0
-        return len(combo_kernel(cols, self.span_exact(k + p))[1])
-
-
-def mu_split(
-    win: KoszulWindow,
-    y: HomogeneousPoly,
-    k: int,
-    _ctx: _SplitContext | None = None,
-    exact: bool = False,
-) -> tuple[int, int]:
-    """(torsion, free) dimensions of M at degree k, split by the rank of
-    multiplication by y^p with p = max(1, n*d - k).  Needs k + p <= k_max."""
-    p = max(1, win.n * win.d - k)
-    if k + p > win.k_max:
-        raise ValueError(f"split at degree {k} needs window k_max >= {k + p}")
-    # A map into the zero space has rank 0, so an empty target needs no
-    # elimination.  This holds on the modular path too: a rank mod p never
-    # exceeds the rank over Q, so a mu read off modular ranks is never below
-    # the true mu, and mu(k + p) == 0 means the target is zero over Q.
-    if win.mu(k + p) == 0:
-        free = 0
-    else:
-        ctx = _ctx if _ctx is not None else _SplitContext(win, y)
-        free = ctx.free_rank(k, p, exact=exact)
-    total = win.mu(k)
-    return total - free, free
-
-
-def _split_window(win: KoszulWindow, y: HomogeneousPoly, exact: bool = False):
-    """mu_torsion / mu_free over the whole window.  Degrees above n*d - n
-    carry no torsion (the torsion support is symmetric under k -> n*d - k and
-    empty below n), so the split there is just mu itself."""
-    n, d, k_max = win.n, win.d, win.k_max
-    nd = n * d
-    ctx = _SplitContext(win, y)
-    mu_t = [0] * (k_max + 1)
-    mu_f = [0] * (k_max + 1)
-    for k in range(k_max + 1):
-        total = win.mu(k)
-        if k < n or total == 0:
-            continue
-        if k > nd - n:
-            mu_f[k] = total
-            continue
-        t, f = mu_split(win, y, k, _ctx=ctx, exact=exact)
-        mu_t[k], mu_f[k] = t, f
+                    nxt[key] = nxt.get(key, 0) + ca * cb
+            power = nxt
+            k = nd - p
+            if p >= n and mu[k]:
+                mu_f[k] = win.class_rank(nd, mult_columns(win, k, power))
+    mu_t = [m - f for m, f in zip(mu, mu_f)]
     return mu_t, mu_f
 
 
@@ -304,7 +237,7 @@ def build_invariant_table(
             win.force_exact()
         t = tau(win)
         y = generic_linear_form(win.n, attempt_seed)
-        mu_t, mu_f = _split_window(win, y, exact=exact)
+        mu_t, mu_f = _split_window(win, y)
         tab = InvariantTable(
             n=win.n, d=win.d, k_max=win.k_max, tau=t,
             gamma=[win.gamma(k) for k in ks], mu=[win.mu(k) for k in ks],

@@ -15,7 +15,10 @@ from math import comb
 
 from .linalg import (
     DEFAULT_PRIMES,
+    IntEchelon,
+    ModularSpan,
     SparseVec,
+    combo_kernel,
     rank_exact_rows,
     rank_mod,
 )
@@ -87,7 +90,10 @@ class KoszulWindow:
 
     Ranks are cached per (form degree, grading degree).  The default rank
     path reduces modulo two fixed primes and promotes to exact elimination
-    on disagreement; force_exact() recomputes every cached rank exactly.
+    on disagreement; force_exact() recomputes every cached rank exactly and
+    sends every later rank, class_rank's included, down the exact path.
+    class_rank reduces forms against the df wedge image in M_k, eliminated
+    once per prime (or once exactly) and kept for every later call.
     The monomial lists and offset maps the columns are built from are
     cached on the window too, never module-wide, so every window starts
     from the same cold state.
@@ -118,6 +124,8 @@ class KoszulWindow:
         self._wedge_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._deriv_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._rank: dict[tuple[int, int], int] = {}
+        self._image_spans: dict[tuple[int, int], ModularSpan] = {}
+        self._image_echelons: dict[int, IntEchelon] = {}
         self._exact_ranks = False
         self._gamma = gamma_series(self.n, self.d, self.k_max)
         # the pole order tower's result, cached by polespec._run_tower
@@ -269,6 +277,27 @@ class KoszulWindow:
         downstream identity fails, before trusting the failure."""
         if 0 <= j <= self.n - 1 and m >= j:
             self._rank[(j, m)] = rank_exact_rows(self.wedge_columns(j, m))
+
+    def class_rank(self, k: int, forms: list[SparseVec]) -> int:
+        """Rank of the classes of the given n-forms of degree k in M_k, the
+        n-forms modulo the image of df wedge out of (n-1, k-d).  Reduced
+        against that image modulo both fixed primes; when they disagree, or
+        after force_exact(), by exact elimination."""
+        image = (self.n - 1, k - self.d)
+        if not self._exact_ranks:
+            ranks = []
+            for p in DEFAULT_PRIMES:
+                span = self._image_spans.get((k, p))
+                if span is None:
+                    span = self._image_spans[(k, p)] = ModularSpan(self.wedge_columns(*image), p)
+                ranks.append(span.added_rank(forms))
+            if ranks[0] == ranks[1]:
+                return ranks[0]
+        ech = self._image_echelons.get(k)
+        if ech is None:
+            ech = self._image_echelons[k] = IntEchelon()
+            ech.add_many(self.wedge_columns(*image))
+        return len(combo_kernel(forms, ech)[1])
 
     # -- graded invariants -------------------------------------------------------
 

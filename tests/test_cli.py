@@ -307,8 +307,8 @@ def test_check_corpus_keeps_going_past_a_bad_entry(tmp_path, capsys):
 
 
 def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
-    """A bad alpha_min, exponents, binary_form or nodal value is an input
-    error of its own entry, not a crash of the batch; so is a zero
+    """A bad input, alpha_min, exponents, binary_form or nodal value is an
+    input error of its own entry, not a crash of the batch; so is a zero
     denominator, and a binary form that cannot describe the input."""
     entries = [
         {"input": "x*y*z", "alpha_min": [1]},
@@ -318,6 +318,9 @@ def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
         {"input": "x^2*y^2", "vars": "x,y", "binary_form": 5},
         {"input": "x*y*z", "nodal": "yes"},
         {"input": "x*y*z", "binary_form": "x:1,y:1"},
+        {"input": "x^3 + y^3 + z^3"},
+        {"input": 5},
+        {"input": ["x"]},
         {"input": "x^3 + y^3 + z^3"},
     ]
     path = tmp_path / "corpus.jsonl"
@@ -336,7 +339,10 @@ def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
     assert lines[6].startswith("ERROR x*y*z:") and "binary form" in lines[6]
     assert lines[6].endswith("(exit 2)")
     assert lines[7].startswith("PASS x^3 + y^3 + z^3:")
-    assert lines[8] == "corpus: 8 records, 2 passed, 0 failed, 6 errors"
+    assert lines[8] == "ERROR line 9: 'input' must be a string (exit 2)"
+    assert lines[9] == "ERROR line 10: 'input' must be a string (exit 2)"
+    assert lines[10].startswith("PASS x^3 + y^3 + z^3:")
+    assert lines[11] == "corpus: 11 records, 3 passed, 0 failed, 8 errors"
 
 
 def test_cli_import_leaves_numpy_out():

@@ -15,12 +15,12 @@ from koszulspec.decomp import (
     check_free_generators,
     check_nodal_vanishing,
     classify_type,
-    mu_split,
     nodal_nu_bound,
     tau,
     verify_corollaries,
 )
 from koszulspec.koszul import KoszulWindow
+from koszulspec.linalg import DEFAULT_PRIMES, ModularSpan
 from koszulspec.poly import generic_linear_form
 
 
@@ -140,18 +140,15 @@ def test_independent_nodes_free_part():
 
 
 def test_mu_split_values():
+    """Torsion/free rows of the split at k = 2 and k = 4, on the modular
+    path and again after force_exact()."""
     win = support.window("x^2*y^2", support.VARS2)
     y = generic_linear_form(2, 0)
-    assert mu_split(win, y, 2) == (0, 1)
-    assert mu_split(win, y, 4) == (1, 2)
-    assert mu_split(win, y, 2, exact=True) == (0, 1)
-
-
-def test_mu_split_needs_room():
-    win = support.window("x^2*y^2", support.VARS2)
-    y = generic_linear_form(2, 0)
-    with pytest.raises(ValueError):
-        mu_split(win, y, win.k_max)
+    for _ in range(2):
+        mu_t, mu_f = decomp._split_window(win, y)
+        assert (mu_t[2], mu_f[2]) == (0, 1)
+        assert (mu_t[4], mu_f[4]) == (1, 2)
+        win.force_exact()
 
 
 def test_seed_independence_of_split():
@@ -164,22 +161,31 @@ def test_seed_independence_of_split():
         assert a.seed == 0 and b.seed == 7
 
 
-def _skewed_split(monkeypatch, always: bool) -> list[bool]:
+def _skewed_split(monkeypatch, always: bool) -> list[str]:
     """Make `_split_window` return a split that breaks free-plus-nu (mu''
-    one too large everywhere) on every modular attempt, or on every attempt
-    when `always`; returns the `exact` flags of the calls."""
-    real = decomp._split_window
+    one too large everywhere) on every attempt before force_exact(), or on
+    every attempt when `always`; returns the calls of both in order."""
+    real_split = decomp._split_window
+    real_force = KoszulWindow.force_exact
     calls = []
 
-    def skewed(win, y, exact=False):
-        calls.append(exact)
-        mu_t, mu_f = real(win, y, exact=exact)
-        if always or not exact:
+    def skewed(win, y):
+        calls.append("split")
+        mu_t, mu_f = real_split(win, y)
+        if always or "force_exact" not in calls:
             mu_f = [v + 1 for v in mu_f]
         return mu_t, mu_f
 
+    def force_exact(self):
+        calls.append("force_exact")
+        real_force(self)
+
     monkeypatch.setattr(decomp, "_split_window", skewed)
+    monkeypatch.setattr(KoszulWindow, "force_exact", force_exact)
     return calls
+
+
+ATTEMPTS = ["split", "split", "split", "force_exact", "split"]
 
 
 def test_table_falls_back_to_the_exact_attempt(monkeypatch):
@@ -188,7 +194,7 @@ def test_table_falls_back_to_the_exact_attempt(monkeypatch):
     normal = build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
     calls = _skewed_split(monkeypatch, always=False)
     tab = build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
-    assert calls == [False, False, False, True]
+    assert calls == ATTEMPTS
     assert tab == normal
     assert tab.seed == 3
 
@@ -197,8 +203,25 @@ def test_table_raises_when_every_attempt_fails(monkeypatch):
     calls = _skewed_split(monkeypatch, always=True)
     with pytest.raises(IdentityViolation) as err:
         build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
-    assert calls == [False, False, False, True]
+    assert calls == ATTEMPTS
     assert err.value.violations[0][0] == "free-plus-nu"
+
+
+def test_split_spans_survive_seed_retries(monkeypatch):
+    """The image of df wedge in M_{n*d} is eliminated once per prime for
+    the whole table: the three failing modular attempts share both spans,
+    and the exact attempt builds none."""
+    real = ModularSpan.__init__
+    built = []
+
+    def counted(self, columns, p):
+        built.append(p)
+        real(self, columns, p)
+
+    _skewed_split(monkeypatch, always=False)
+    monkeypatch.setattr(ModularSpan, "__init__", counted)
+    build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
+    assert sorted(built) == sorted(DEFAULT_PRIMES)
 
 
 def test_assumption_failure_raised():
@@ -236,27 +259,27 @@ def test_syzygy_counts_match_first_nu():
 
 
 def test_split_skips_a_zero_target(monkeypatch):
-    """Where mu(k + p) = 0 the free rank is 0 without any elimination: on a
-    smooth input every target is zero, so the table never calls free_rank;
+    """Where mu(n*d) = 0 the free rank is 0 without any elimination: on a
+    smooth input the target is zero, so the table never calls class_rank;
     on a singular one it still does."""
-    real = decomp._SplitContext.free_rank
+    real = KoszulWindow.class_rank
     calls = []
 
-    def refuse(self, k, p, exact=False):
-        raise AssertionError(f"free_rank({k}, {p}) called")
+    def refuse(self, k, forms):
+        raise AssertionError(f"class_rank({k}) called")
 
-    monkeypatch.setattr(decomp._SplitContext, "free_rank", refuse)
+    monkeypatch.setattr(KoszulWindow, "class_rank", refuse)
     data = tables.FERMAT_CUBIC
     tab = build_invariant_table(support.poly(data["text"], data["variables"]))
     assert tab.tau == data["tau"]
     for key in ("mu", "mu_torsion", "mu_free", "nu"):
         tables.assert_row(getattr(tab, key), data[key], label=f"fermat cubic.{key}")
 
-    def counted(self, k, p, exact=False):
-        calls.append((k, p))
-        return real(self, k, p, exact=exact)
+    def counted(self, k, forms):
+        calls.append(k)
+        return real(self, k, forms)
 
-    monkeypatch.setattr(decomp._SplitContext, "free_rank", counted)
+    monkeypatch.setattr(KoszulWindow, "class_rank", counted)
     tab = build_invariant_table(support.corpus_poly("xyz"))
-    assert calls
+    assert calls and set(calls) == {9}
     tables.assert_row(tab.mu_free, tables.XYZ["mu_free"], label="xyz.mu_free")
