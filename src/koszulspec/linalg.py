@@ -11,13 +11,21 @@ Kernels and solutions are read off a fraction-free back-reduction of the
 pivot rows: kernels as primitive sparse integer vectors, solutions as an
 integer vector with a common denominator.
 
-Ranks go through reduction modulo two fixed word-size primes first; the
-exact path is run whenever the primes disagree or when an exact result is
-requested.  The modular path is the same sparse engine over Z/p: the
-columns are eliminated as dict rows reduced mod p, each pivot row scaled to
-1 at its pivot index, so a step costs only the entries it touches.
+Ranks go through reduction modulo two fixed word-size primes p0, p1 first;
+the exact path is run whenever the primes disagree or when an exact result
+is requested.  The modular path is the same sparse engine over Z/m, m a
+prime or N = p0*p1 (below): the columns are eliminated as dict rows reduced
+mod m, each pivot row scaled to 1 at its pivot index, so a step costs only
+the entries it touches.
 `ModularSpan` keeps its pivot rows in elimination order and reduces a new
 vector only by the pivots it hits.
+
+One elimination modulo N = p0*p1 stands for both primes.  Z/N is Z/p0 x
+Z/p1, so while every pivot is a unit mod N the elimination mod N is the
+elimination mod p0 and mod p1 at once, with the same pivots: its rank is
+the rank mod each prime, and the two agree.  A pivot that is not a unit
+mod N (divisible by exactly one of the primes) raises `ZeroDivisorError`;
+the caller then reduces modulo each prime on its own.
 """
 
 from __future__ import annotations
@@ -27,8 +35,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-# Fixed default primes, both above 2**30.
+# Fixed default primes, both above 2**30, and their product, the modulus
+# that checks both in one elimination.
 DEFAULT_PRIMES = (2147483647, 2147483629)
+PRIME_PRODUCT = DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]
 
 SparseVec = dict[int, int]
 
@@ -390,12 +400,21 @@ def combo_kernel(
 # -- modular ranks ------------------------------------------------------------
 
 
+class ZeroDivisorError(ArithmeticError):
+    """A modular elimination met a pivot that is not a unit modulo a
+    composite modulus; its rank says nothing about either prime."""
+
+
 def _eliminate_mod(vectors: list[SparseVec], p: int) -> list[tuple[int, SparseVec]]:
-    """Forward sparse elimination of `vectors` modulo the prime p.
+    """Forward sparse elimination of `vectors` modulo p, a prime or
+    `PRIME_PRODUCT`.
 
     Returns the pivots in elimination order as (pivot index, row), each row
     reduced mod p and scaled to 1 at its pivot index; a row holds no entry
     at the pivot index of any earlier pivot.  The input is not modified.
+    Modulo `PRIME_PRODUCT` the pivots count the rank modulo both primes,
+    which then agree; a pivot divisible by one of them raises
+    `ZeroDivisorError` instead.
 
     Same engine as `_eliminate`: active rows wait in a heap keyed by
     (number of entries, row index), an entry whose count no longer matches
@@ -424,7 +443,10 @@ def _eliminate_mod(vectors: list[SparseVec], p: int) -> list[tuple[int, SparseVe
         for c in row:
             col_rows[c].discard(i)
         c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
-        inv = pow(row[c], -1, p)
+        try:
+            inv = pow(row[c], -1, p)
+        except ValueError:
+            raise ZeroDivisorError(f"pivot {row[c]} is not a unit modulo {p}") from None
         if inv != 1:
             row = {cc: x * inv % p for cc, x in row.items()}
         pivots.append((c, row))
@@ -453,15 +475,19 @@ def _eliminate_mod(vectors: list[SparseVec], p: int) -> list[tuple[int, SparseVe
 
 def rank_mod(columns: list[SparseVec], nrows: int, p: int) -> int:
     """Rank modulo p of the matrix with the given columns and `nrows` rows
-    (the sparse elimination needs only the columns)."""
+    (the sparse elimination needs only the columns).  Modulo
+    `PRIME_PRODUCT` it is the rank modulo both primes, or raises
+    `ZeroDivisorError`."""
     return len(_eliminate_mod(columns, p))
 
 
 class ModularSpan:
-    """Span of integer vectors modulo a fixed prime, supporting incremental
-    added-rank queries.  Used for rank computations of stacked matrices
-    [A | B] - rank(A) without re-eliminating A.  The pivots are kept in
-    elimination order, `step` maps each pivot index to its place there."""
+    """Span of integer vectors modulo a fixed prime or `PRIME_PRODUCT`,
+    supporting incremental added-rank queries.  Used for rank computations
+    of stacked matrices [A | B] - rank(A) without re-eliminating A.  The
+    pivots are kept in elimination order, `step` maps each pivot index to
+    its place there.  Modulo `PRIME_PRODUCT` both the build and
+    `added_rank` may raise `ZeroDivisorError`."""
 
     __slots__ = ("p", "pivots", "step")
 

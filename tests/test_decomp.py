@@ -6,7 +6,7 @@ import pytest
 
 import support
 import tables
-from koszulspec import decomp
+from koszulspec import decomp, koszul
 from koszulspec.decomp import (
     AssumptionFailure,
     IdentityViolation,
@@ -20,7 +20,7 @@ from koszulspec.decomp import (
     verify_corollaries,
 )
 from koszulspec.koszul import KoszulWindow
-from koszulspec.linalg import DEFAULT_PRIMES, ModularSpan
+from koszulspec.linalg import PRIME_PRODUCT, ModularSpan
 from koszulspec.poly import generic_linear_form
 
 
@@ -208,9 +208,9 @@ def test_table_raises_when_every_attempt_fails(monkeypatch):
 
 
 def test_split_spans_survive_seed_retries(monkeypatch):
-    """The image of df wedge in M_{n*d} is eliminated once per prime for
-    the whole table: the three failing modular attempts share both spans,
-    and the exact attempt builds none."""
+    """The image of df wedge in M_{n*d} is eliminated once for the whole
+    table, modulo p0*p1: the three failing modular attempts share one
+    span, and the exact attempt builds none."""
     real = ModularSpan.__init__
     built = []
 
@@ -221,7 +221,35 @@ def test_split_spans_survive_seed_retries(monkeypatch):
     _skewed_split(monkeypatch, always=False)
     monkeypatch.setattr(ModularSpan, "__init__", counted)
     build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
-    assert sorted(built) == sorted(DEFAULT_PRIMES)
+    assert built == [PRIME_PRODUCT]
+
+
+def test_one_modular_elimination_per_wedge_block(monkeypatch):
+    """A table eliminates each df wedge block it ranks exactly once, modulo
+    p0*p1: one rank_mod call, or for the image in M_{n*d} the one
+    ModularSpan that gives both its rank and the split's reductions."""
+    windows, eliminated = [], []
+    real_init, real_span, real_rank = KoszulWindow.__init__, ModularSpan.__init__, koszul.rank_mod
+
+    def window(self, *args):
+        windows.append(self)
+        real_init(self, *args)
+
+    def span(self, columns, p):
+        eliminated.append((id(columns), p))
+        real_span(self, columns, p)
+
+    def rank(columns, nrows, p):
+        eliminated.append((id(columns), p))
+        return real_rank(columns, nrows, p)
+
+    monkeypatch.setattr(KoszulWindow, "__init__", window)
+    monkeypatch.setattr(ModularSpan, "__init__", span)
+    monkeypatch.setattr(koszul, "rank_mod", rank)
+    build_invariant_table(support.poly("x^2*y^2 + z^4", support.VARS3))
+    [win] = windows
+    blocks = [id(win.wedge_columns(j, m)) for j, m in win._rank if win.wedge_columns(j, m)]
+    assert sorted(eliminated) == sorted((b, PRIME_PRODUCT) for b in blocks)
 
 
 def test_assumption_failure_raised():

@@ -9,6 +9,8 @@ from koszulspec.linalg import (
     IntEchelon,
     ModularSpan,
     DEFAULT_PRIMES,
+    PRIME_PRODUCT,
+    ZeroDivisorError,
     combo_kernel,
     kernel_int_columns,
     rank_exact_rows,
@@ -366,11 +368,14 @@ def test_modular_path_property():
     """Sparse ranks mod each fixed prime against a dense oracle mod that
     prime, on entries that vanish mod one prime or both (multiples of p0,
     p1, p0*p1, negative too) and with empty columns; added ranks of a
-    ModularSpan against the rank of the stacked columns; inputs untouched."""
+    ModularSpan against the rank of the stacked columns.  Modulo p0*p1
+    the rank and the span either raise ZeroDivisorError or give the rank
+    modulo both primes, which then agree; each outcome is seen on at least
+    10 matrices.  Inputs untouched."""
     p0, p1 = DEFAULT_PRIMES
     rng = random.Random(20261018)
     pool = [1, -1, 2, -3, 7, p0, -p0, 3 * p1, -p1, p0 * p1, -2 * p0 * p1, p0 * p1 + 1, -p0 - 5]
-    split = 0
+    split = raised = units = 0
     for _ in range(150):
         nrows, ncols = rng.randint(1, 9), rng.randint(0, 9)
         density = rng.choice([0.2, 0.5, 0.9])
@@ -395,6 +400,18 @@ def test_modular_path_property():
             assert span.added_rank(cols[k:]) == full - span.rank
             assert span.added_rank(cols[k:]) == full - span.rank  # span unchanged
             ranks.append(full)
+        try:
+            assert rank_mod(cols, nrows, PRIME_PRODUCT) == ranks[0] == ranks[1]
+            units += 1
+        except ZeroDivisorError:
+            raised += 1
+        try:
+            span = ModularSpan(cols[:k], PRIME_PRODUCT)
+            assert span.rank + span.added_rank(cols[k:]) == ranks[0] == ranks[1]
+        except ZeroDivisorError:
+            pass
         assert cols == frozen
         split += ranks[0] != ranks[1]
     assert split >= 10
+    print("modulo p0*p1: raised", raised, "unit pivots", units)
+    assert raised >= 10 and units >= 10

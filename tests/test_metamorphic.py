@@ -4,7 +4,10 @@ Scaling one variable, an elementary unimodular substitution
 x_i -> x_i + a*x_j and multiplying f by a nonzero constant are invertible
 over Q: the new polynomial defines the same hypersurface up to a linear
 change of coordinates.  So every table row, both stage-2 rows, the torsion
-profile and the pole order spectrum must stay as they are.  These checks
+profile and the pole order spectrum must stay as they are.  So must
+multiplying the coefficient of a term that is the only one holding some
+variable x_i: over C that is scaling x_i by a root of the factor, and the
+invariants are dimensions, which do not change from Q to C.  These checks
 need no frozen value (Chen et al., "Metamorphic testing: a review of
 challenges and opportunities", ACM Computing Surveys 51(1), 2018).  The
 inputs have n <= 3, so that a substitution stays cheap.
@@ -17,6 +20,7 @@ from functools import lru_cache
 import pytest
 
 import support
+from koszulspec import koszul
 from koszulspec.decomp import build_invariant_table
 from koszulspec.koszul import KoszulWindow
 from koszulspec.linalg import DEFAULT_PRIMES
@@ -90,3 +94,44 @@ def test_invariants_survive_a_change_of_coordinates(label, move):
 def test_scaling_by_the_prime_product(label):
     f = support.corpus_poly(label)
     assert _invariants(_scaled(f, 0, DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1])) == _plain(label)
+
+
+# per input, a term that is the only one holding some variable
+LONE_TERMS = {"cusp": (3, 0, 0), "twoa3": (0, 0, 4), "x3+y3": (3, 0)}
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, *DEFAULT_PRIMES])
+@pytest.mark.parametrize("label", list(LONE_TERMS))
+def test_invariants_survive_scaling_a_lone_coefficient(label, factor):
+    """A factor p0 or p1 makes the elimination modulo p0*p1 meet a zero
+    divisor, so those cases check the per-prime and exact fallback."""
+    f = support.corpus_poly(label)
+    lone = LONE_TERMS[label]
+    assert any(lone[i] and all(not e[i] for e in f.terms if e != lone) for i in range(f.n))
+    g = HomogeneousPoly(f.n, f.degree, {e: c * factor if e == lone else c for e, c in f.terms.items()})
+    assert _invariants(g) == _plain(label)
+
+
+@pytest.mark.parametrize(
+    "text, twin, variables",
+    [
+        (f"x^2 + {DEFAULT_PRIMES[0]}*y^2", "x^2 + y^2", support.VARS2),
+        (f"x^2*y^2 + {DEFAULT_PRIMES[1]}*z^4", "x^2*y^2 + z^4", support.VARS3),
+    ],
+)
+def test_a_coefficient_divisible_by_one_prime_falls_back(monkeypatch, text, twin, variables):
+    """Modulo p0*p1 such a coefficient is a zero divisor: the ranks fall
+    back to each prime on its own, exact where they disagree, and every
+    row, stage-2 row and the spectrum are those of the plain twin."""
+    moduli = []
+    real = koszul.rank_mod
+
+    def counted(columns, nrows, p):
+        moduli.append(p)
+        return real(columns, nrows, p)
+
+    monkeypatch.setattr(koszul, "rank_mod", counted)
+    got = _invariants(support.poly(text, variables))
+    monkeypatch.undo()
+    assert set(DEFAULT_PRIMES) <= set(moduli)
+    assert got == _invariants(support.poly(twin, variables))
