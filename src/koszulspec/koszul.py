@@ -14,7 +14,6 @@ from itertools import combinations
 from math import comb
 
 from .linalg import (
-    DEFAULT_PRIMES,
     PRIME_PRODUCT,
     IntEchelon,
     ModularSpan,
@@ -92,14 +91,14 @@ class KoszulWindow:
 
     Ranks are cached per (form degree, grading degree).  The default rank
     path is one elimination modulo p0*p1, which stands for both fixed
-    primes; when it meets a pivot divisible by one prime, each prime is
-    eliminated on its own and exact elimination decides a disagreement.
+    primes; when it meets a pivot divisible by one prime, the rank is
+    computed by exact elimination instead.
     force_exact() recomputes every cached rank exactly and sends every
     later rank, class_rank's included, down the exact path.
     class_rank reduces forms against the df wedge image in M_k.  That image
     is eliminated once modulo p0*p1, and for k = n*d the same span gives
     rank_wedge its rank, so the block is eliminated once per table; it is
-    kept for every later call (per prime, or exactly, after a fallback).
+    kept for every later call (exactly, after a zero divisor).
     The monomial lists and offset maps the columns are built from are
     cached on the window too, never module-wide, so every window starts
     from the same cold state.
@@ -130,7 +129,7 @@ class KoszulWindow:
         self._wedge_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._deriv_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._rank: dict[tuple[int, int], int] = {}
-        self._image_spans: dict[tuple[int, int], ModularSpan | None] = {}
+        self._image_spans: dict[int, ModularSpan | None] = {}
         self._image_echelons: dict[int, IntEchelon] = {}
         self._exact_ranks = False
         self._gamma = gamma_series(self.n, self.d, self.k_max)
@@ -267,22 +266,16 @@ class KoszulWindow:
         return r
 
     def _modular_rank(self, j: int, m: int, cols: list[SparseVec]) -> int:
-        """Rank of df wedge out of (j, m) by one elimination modulo p0*p1.
-        On a zero divisor, modulo each prime, and exact when they disagree.
-        The image block in M_{n*d} is eliminated as class_rank's span."""
-        nrows = self.dim(j + 1, m + self.d)
+        """Rank of df wedge out of (j, m) by one elimination modulo p0*p1,
+        exact on a zero divisor.  The image block in M_{n*d} is eliminated
+        as class_rank's span."""
         if j == self.n - 1 and m + self.d == self.n * self.d:
-            span = self._image_span(m + self.d, PRIME_PRODUCT)
-            if span is not None:
-                return span.rank
-        else:
-            try:
-                return rank_mod(cols, nrows, PRIME_PRODUCT)
-            except ZeroDivisorError:
-                pass
-        r0 = rank_mod(cols, nrows, DEFAULT_PRIMES[0])
-        r1 = rank_mod(cols, nrows, DEFAULT_PRIMES[1])
-        return r0 if r0 == r1 else rank_exact_rows(cols)
+            span = self._image_span(m + self.d)
+            return rank_exact_rows(cols) if span is None else span.rank
+        try:
+            return rank_mod(cols, self.dim(j + 1, m + self.d), PRIME_PRODUCT)
+        except ZeroDivisorError:
+            return rank_exact_rows(cols)
 
     def force_exact(self) -> None:
         """Recompute every cached rank with exact elimination."""
@@ -296,34 +289,29 @@ class KoszulWindow:
         if 0 <= j <= self.n - 1 and m >= j:
             self._rank[(j, m)] = rank_exact_rows(self.wedge_columns(j, m))
 
-    def _image_span(self, k: int, p: int) -> ModularSpan | None:
-        """Span modulo p of the df wedge image in M_k, built once; None, also
-        kept, when its elimination met a zero divisor (p = p0*p1 only)."""
-        key = (k, p)
-        if key not in self._image_spans:
+    def _image_span(self, k: int) -> ModularSpan | None:
+        """Span modulo p0*p1 of the df wedge image in M_k, built once; None,
+        also kept, when its elimination met a zero divisor."""
+        if k not in self._image_spans:
             try:
-                span = ModularSpan(self.wedge_columns(self.n - 1, k - self.d), p)
+                span = ModularSpan(self.wedge_columns(self.n - 1, k - self.d), PRIME_PRODUCT)
             except ZeroDivisorError:
                 span = None
-            self._image_spans[key] = span
-        return self._image_spans[key]
+            self._image_spans[k] = span
+        return self._image_spans[k]
 
     def class_rank(self, k: int, forms: list[SparseVec]) -> int:
         """Rank of the classes of the given n-forms of degree k in M_k, the
         n-forms modulo the image of df wedge out of (n-1, k-d).  Reduced
-        against that image modulo p0*p1; on a zero divisor modulo each
-        prime, and when they disagree, or after force_exact(), by exact
-        elimination."""
+        against that image modulo p0*p1; on a zero divisor, or after
+        force_exact(), by exact elimination."""
         if not self._exact_ranks:
-            span = self._image_span(k, PRIME_PRODUCT)
+            span = self._image_span(k)
             if span is not None:
                 try:
                     return span.added_rank(forms)
                 except ZeroDivisorError:
                     pass
-            r0, r1 = (self._image_span(k, p).added_rank(forms) for p in DEFAULT_PRIMES)
-            if r0 == r1:
-                return r0
         ech = self._image_echelons.get(k)
         if ech is None:
             ech = self._image_echelons[k] = IntEchelon()

@@ -11,10 +11,11 @@ Kernels and solutions are read off a fraction-free back-reduction of the
 pivot rows: kernels as primitive sparse integer vectors, solutions as an
 integer vector with a common denominator.
 
-Ranks go through reduction modulo two fixed word-size primes p0, p1 first;
-the exact path is run whenever the primes disagree or when an exact result
+Ranks go through reduction modulo two fixed word-size primes p0, p1 first,
+in one elimination modulo their product N = p0*p1 (below); the exact path
+is run when that elimination meets a zero divisor or when an exact result
 is requested.  The modular path is the same sparse engine over Z/m, m a
-prime or N = p0*p1 (below): the columns are eliminated as dict rows reduced
+prime or N: the columns are eliminated as dict rows reduced
 mod m, each pivot row scaled to 1 at its pivot index, so a step costs only
 the entries it touches.
 `ModularSpan` keeps its pivot rows in elimination order and reduces a new
@@ -25,7 +26,7 @@ Z/p1, so while every pivot is a unit mod N the elimination mod N is the
 elimination mod p0 and mod p1 at once, with the same pivots: its rank is
 the rank mod each prime, and the two agree.  A pivot that is not a unit
 mod N (divisible by exactly one of the primes) raises `ZeroDivisorError`;
-the caller then reduces modulo each prime on its own.
+the caller then falls back to exact elimination.
 """
 
 from __future__ import annotations

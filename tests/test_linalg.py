@@ -369,13 +369,14 @@ def test_modular_path_property():
     prime, on entries that vanish mod one prime or both (multiples of p0,
     p1, p0*p1, negative too) and with empty columns; added ranks of a
     ModularSpan against the rank of the stacked columns.  Modulo p0*p1
-    the rank and the span either raise ZeroDivisorError or give the rank
-    modulo both primes, which then agree; each outcome is seen on at least
-    10 matrices.  Inputs untouched."""
+    the rank, the span build and its added rank each either raise
+    ZeroDivisorError or give the rank modulo both primes, which then agree;
+    the rank takes each outcome on at least 10 matrices, and at least 10
+    span builds and 10 added ranks succeed.  Inputs untouched."""
     p0, p1 = DEFAULT_PRIMES
     rng = random.Random(20261018)
     pool = [1, -1, 2, -3, 7, p0, -p0, 3 * p1, -p1, p0 * p1, -2 * p0 * p1, p0 * p1 + 1, -p0 - 5]
-    split = raised = units = 0
+    split = raised = units = built = added_ok = 0
     for _ in range(150):
         nrows, ncols = rng.randint(1, 9), rng.randint(0, 9)
         density = rng.choice([0.2, 0.5, 0.9])
@@ -391,7 +392,7 @@ def test_modular_path_property():
         cols.insert(rng.randint(0, len(cols)), {})
         k = rng.randint(0, len(cols))
         frozen = [dict(c) for c in cols]
-        ranks = []
+        ranks, prefix = [], []
         for p in DEFAULT_PRIMES:
             full = rank_mod(cols, nrows, p)
             assert full == _dense_rank_mod(cols, nrows, p)
@@ -400,6 +401,7 @@ def test_modular_path_property():
             assert span.added_rank(cols[k:]) == full - span.rank
             assert span.added_rank(cols[k:]) == full - span.rank  # span unchanged
             ranks.append(full)
+            prefix.append(span.rank)
         try:
             assert rank_mod(cols, nrows, PRIME_PRODUCT) == ranks[0] == ranks[1]
             units += 1
@@ -407,11 +409,20 @@ def test_modular_path_property():
             raised += 1
         try:
             span = ModularSpan(cols[:k], PRIME_PRODUCT)
-            assert span.rank + span.added_rank(cols[k:]) == ranks[0] == ranks[1]
         except ZeroDivisorError:
             pass
+        else:
+            assert span.rank == prefix[0] == prefix[1]
+            built += 1
+            try:
+                added = span.added_rank(cols[k:])
+            except ZeroDivisorError:
+                pass
+            else:
+                assert added == ranks[0] - span.rank == ranks[1] - span.rank
+                added_ok += 1
         assert cols == frozen
         split += ranks[0] != ranks[1]
     assert split >= 10
-    print("modulo p0*p1: raised", raised, "unit pivots", units)
     assert raised >= 10 and units >= 10
+    assert built >= 10 and added_ok >= 10

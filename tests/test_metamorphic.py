@@ -23,7 +23,7 @@ import support
 from koszulspec import koszul
 from koszulspec.decomp import build_invariant_table
 from koszulspec.koszul import KoszulWindow
-from koszulspec.linalg import DEFAULT_PRIMES
+from koszulspec.linalg import DEFAULT_PRIMES, PRIME_PRODUCT, ModularSpan, ZeroDivisorError
 from koszulspec.poly import HomogeneousPoly
 from koszulspec.polespec import pole_spectrum, stage_snapshot, torsion_profile
 
@@ -60,9 +60,16 @@ def _invariants(f):
     }
 
 
+def _input(label):
+    """A corpus entry, or the one input kept outside the corpus."""
+    if label == "x2+y2":
+        return support.poly("x^2 + y^2", support.VARS2)
+    return support.corpus_poly(label)
+
+
 @lru_cache(maxsize=None)
 def _plain(label):
-    return _invariants(support.corpus_poly(label))
+    return _invariants(_input(label))
 
 
 def _moves(label):
@@ -97,41 +104,51 @@ def test_scaling_by_the_prime_product(label):
 
 
 # per input, a term that is the only one holding some variable
-LONE_TERMS = {"cusp": (3, 0, 0), "twoa3": (0, 0, 4), "x3+y3": (3, 0)}
+LONE_TERMS = {"cusp": (3, 0, 0), "twoa3": (0, 0, 4), "x3+y3": (3, 0), "x2+y2": (0, 2)}
 
 
 @pytest.mark.parametrize("factor", [2, 3, 4, 5, *DEFAULT_PRIMES])
 @pytest.mark.parametrize("label", list(LONE_TERMS))
-def test_invariants_survive_scaling_a_lone_coefficient(label, factor):
+def test_invariants_survive_scaling_a_lone_coefficient(monkeypatch, label, factor):
     """A factor p0 or p1 makes the elimination modulo p0*p1 meet a zero
-    divisor, so those cases check the per-prime and exact fallback."""
-    f = support.corpus_poly(label)
+    divisor: those cases must fall back to exact elimination, never to a
+    modulus other than p0*p1, and every wedge rank and the class rank in
+    degree n*d must equal those of a forced-exact window."""
+    f = _input(label)
     lone = LONE_TERMS[label]
     assert any(lone[i] and all(not e[i] for e in f.terms if e != lone) for i in range(f.n))
     g = HomogeneousPoly(f.n, f.degree, {e: c * factor if e == lone else c for e, c in f.terms.items()})
-    assert _invariants(g) == _plain(label)
+    moduli, raised = [], []
+    real_rank, real_span = koszul.rank_mod, ModularSpan.__init__
 
-
-@pytest.mark.parametrize(
-    "text, twin, variables",
-    [
-        (f"x^2 + {DEFAULT_PRIMES[0]}*y^2", "x^2 + y^2", support.VARS2),
-        (f"x^2*y^2 + {DEFAULT_PRIMES[1]}*z^4", "x^2*y^2 + z^4", support.VARS3),
-    ],
-)
-def test_a_coefficient_divisible_by_one_prime_falls_back(monkeypatch, text, twin, variables):
-    """Modulo p0*p1 such a coefficient is a zero divisor: the ranks fall
-    back to each prime on its own, exact where they disagree, and every
-    row, stage-2 row and the spectrum are those of the plain twin."""
-    moduli = []
-    real = koszul.rank_mod
-
-    def counted(columns, nrows, p):
+    def rank(columns, nrows, p):
         moduli.append(p)
-        return real(columns, nrows, p)
+        try:
+            return real_rank(columns, nrows, p)
+        except ZeroDivisorError:
+            raised.append(p)
+            raise
 
-    monkeypatch.setattr(koszul, "rank_mod", counted)
-    got = _invariants(support.poly(text, variables))
+    def span(self, columns, p):
+        moduli.append(p)
+        try:
+            real_span(self, columns, p)
+        except ZeroDivisorError:
+            raised.append(p)
+            raise
+
+    monkeypatch.setattr(koszul, "rank_mod", rank)
+    monkeypatch.setattr(ModularSpan, "__init__", span)
+    got = _invariants(g)
+    # the window's own ranks, which the table's exact retry cannot mask
+    win, exact = KoszulWindow(g), KoszulWindow(g)
+    exact.force_exact()
+    k = g.n * g.degree
+    forms = [{i: 1} for i in range(win.dim(g.n, k))]
+    blocks = [(j, m) for j in range(g.n) for m in range(j, k - g.degree + 1)]
+    assert [win.rank_wedge(*b) for b in blocks] == [exact.rank_wedge(*b) for b in blocks]
+    assert win.class_rank(k, forms) == exact.class_rank(k, forms)
     monkeypatch.undo()
-    assert set(DEFAULT_PRIMES) <= set(moduli)
-    assert got == _invariants(support.poly(twin, variables))
+    assert set(moduli) == {PRIME_PRODUCT}
+    assert bool(raised) == (factor in DEFAULT_PRIMES)
+    assert got == _plain(label)
