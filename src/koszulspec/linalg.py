@@ -186,9 +186,17 @@ def _eliminate(
     return pivots, work, side
 
 
-def rank_exact_rows(rows: list[SparseVec]) -> int:
+def pivot_columns(rows: list[SparseVec]) -> set[int]:
+    """Pivot columns of one sparse exact elimination of `rows`.  The rows
+    restricted to these columns have full rank, the rank of `rows`: each
+    pivot row holds no earlier pivot column, so the pivot block is
+    triangular with a nonzero diagonal."""
     pivots, _, _ = _eliminate(rows)
-    return len(pivots)
+    return {c for c, _ in pivots}
+
+
+def rank_exact_rows(rows: list[SparseVec]) -> int:
+    return len(pivot_columns(rows))
 
 
 def _back_reduce(
@@ -331,11 +339,15 @@ class IntEchelon:
 
     def reduce_full(self, vec: SparseVec) -> tuple[SparseVec, Fraction]:
         """Return (residual, scale): residual = scale * vec - (row combo),
-        scale > 0, residual has no entry in any pivot column."""
+        scale > 0, residual has no entry in any pivot column.
+
+        The scale is kept as two integers while reducing, the product of
+        the positive multipliers of vec and the product of the contents
+        stripped from it, and becomes one Fraction on return."""
         v = {c: x for c, x in vec.items() if x}
-        scale = Fraction(1)
+        num = den = 1
         if not v:
-            return v, scale
+            return v, Fraction(1)
         hits = sorted(c for c in v if c in self.rows)
         while hits:
             for c in hits:
@@ -349,13 +361,13 @@ class IntEchelon:
                 if mp < 0:
                     mp, ma = -mp, -ma
                 v = _cross(mp, v, ma, row)
-                scale *= mp
+                num *= mp
             if not v:
                 break
             v, content = _strip_content(v)
-            scale /= content
+            den *= content
             hits = sorted(c for c in v if c in self.rows)
-        return v, scale
+        return v, Fraction(num, den)
 
     def add(self, vec: SparseVec) -> bool:
         """Insert vec's residual; True if it enlarged the span."""

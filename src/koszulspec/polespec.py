@@ -26,6 +26,7 @@ from .linalg import (
     SparseVec,
     combo_kernel,
     kernel_int_columns,
+    pivot_columns,
     solve_into,
     strip_joint_content,
 )
@@ -133,15 +134,18 @@ class SubquotientState:
                         f"derivative of a boundary escapes relations at degree {m}"
                     )
             # a cycle is fixed by its entries at the free columns of the
-            # kernel basis, where that basis is diagonal: the cycles whose
-            # free column is no pivot of the projected boundaries complete
-            # the boundaries to a basis of the cycles
-            taken = IntEchelon()
-            taken.add_many({f: v for f, v in b.items() if f in cyc} for b in bnd)
+            # kernel basis, where that basis is diagonal, so the cycles map
+            # one-to-one onto those columns.  On the pivot columns of any
+            # elimination of the projected boundaries their rank is full,
+            # so the cycles whose free column is no such pivot complete the
+            # boundaries to a basis of the cycles; one sparse Markowitz
+            # elimination finds them
+            proj = ({f: v for f, v in b.items() if f in cyc} for b in bnd)
+            taken = pivot_columns([p for p in proj if p]) if bnd else set()
             glist = [
                 _Gen(rep=z, lift=z, value=_combine(deriv, z))
                 for f, z in cyc.items()
-                if f not in taken.rows
+                if f not in taken
             ]
             if glist:
                 self.gens[k] = glist

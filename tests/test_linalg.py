@@ -329,6 +329,74 @@ def test_kernel_int_columns_frozen_basis():
     }
 
 
+def test_reduce_full_scale_property():
+    """On seeded random integer spans, some with entries that are multiples
+    of p0*p1: the scale is a positive Fraction, the residual has no pivot
+    column, and scale * vec - residual lies in the span.  For a vector
+    outside the span that pins the scale: any other scale moves the
+    difference out of the span by a multiple of the vector."""
+    rng = random.Random(20261019)
+    seen = {"inside": 0, "outside": 0, "fractional": 0}
+    for trial in range(100):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        big = trial % 3 == 0
+        span = _random_low_rank_columns(
+            rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), big
+        )
+        ech = IntEchelon()
+        ech.add_many(span)
+        rank = rank_exact_rows(span)
+        assert ech.dim == rank
+        for _ in range(3):
+            vec = _matvec(span, {c: rng.randint(-3, 3) for c in range(ncols)})
+            if rng.random() < 0.5:
+                r = rng.randrange(nrows + 1)
+                vec[r] = vec.get(r, 0) + rng.choice((1, -2, 5, DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]))
+            vec = {r: v * 2 for r, v in vec.items() if v}
+            res, scale = ech.reduce_full(vec)
+            assert isinstance(scale, Fraction) and scale > 0
+            assert not any(c in ech.rows for c in res)
+            assert all(isinstance(v, int) and v for v in res.values())
+            diff = {
+                r: scale.numerator * vec.get(r, 0) - scale.denominator * res.get(r, 0)
+                for r in set(vec) | set(res)
+            }
+            assert rank_exact_rows([*span, {r: v for r, v in diff.items() if v}]) == rank
+            inside = rank_exact_rows([*span, vec]) == rank
+            assert inside == (not res) == ech.contains(vec)
+            seen["inside" if inside else "outside"] += 1
+            seen["fractional"] += scale.denominator > 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_reduce_full_and_combo_kernel_frozen():
+    """Scales, residuals and combo_kernel coefficients on one small case,
+    some scales fractional; frozen from the reduction that multiplied a
+    Fraction scale at every step."""
+    ech = IntEchelon()
+    ech.add_many([{0: 4, 1: 6, 3: 3}, {1: 9, 2: -6, 4: 2}, {2: 10, 3: 5, 4: -5}])
+    vectors = [
+        {0: 8, 2: 12, 4: 4},
+        {1: 6, 3: -8},
+        {0: 6, 1: 3, 2: -2, 3: 7, 4: 5},
+        {3: 4, 4: -4},
+        {0: 10, 5: 2},
+        {0: 4, 1: 6, 3: 9, 5: 6},
+    ]
+    assert [ech.reduce_full(v) for v in vectors] == [
+        ({4: 13, 3: -12}, F(3, 2)),
+        ({3: -15, 4: 1}, F(3, 2)),
+        ({3: 33, 4: 20}, F(6)),
+        ({3: 4, 4: -4}, F(1)),
+        ({5: 12, 3: -15, 4: -10}, F(6)),
+        ({3: 1, 5: 1}, F(1, 6)),
+    ]
+    assert combo_kernel(vectors, ech) == (
+        [{0: 28, 1: 2, 3: 61}, {1: 106, 2: 112, 3: 111}, {1: 222, 3: 177, 4: -336, 5: 112}],
+        [{3: -15, 4: 1}, {3: 4, 4: -4}, {3: 1, 5: 1}],
+    )
+
+
 def test_vec_from_fractions_scaling():
     # vec = scale * values, scale positive
     vec, scale = vec_from_fractions({0: F(1, 2), 3: F(-2, 3)})

@@ -1,9 +1,9 @@
 """Metamorphic oracles: changes of the input that no invariant can see.
 
 Scaling one variable, an elementary unimodular substitution
-x_i -> x_i + a*x_j and multiplying f by a nonzero constant are invertible
-over Q: the new polynomial defines the same hypersurface up to a linear
-change of coordinates.  So every table row, both stage-2 rows, the torsion
+x_i -> x_i + a*x_j, three of them in a row, and multiplying f by a nonzero
+constant are invertible over Q: the new polynomial defines the same
+hypersurface up to a linear change of coordinates.  So every table row, both stage-2 rows, the torsion
 profile and the pole order spectrum must stay as they are.  So must
 multiplying the coefficient of a term that is the only one holding some
 variable x_i: over C that is scaling x_i by a root of the factor, and the
@@ -89,6 +89,21 @@ def _moves(label):
 def test_invariants_survive_a_change_of_coordinates(label, move):
     g = _moves(label)[move]
     assert g != support.corpus_poly(label)
+    assert _invariants(g) == _plain(label)
+
+
+@pytest.mark.parametrize("label", ["xyz", "cusp", "x3y2+x2y3"])
+def test_invariants_survive_a_unimodular_substitution(label):
+    """Three seeded elementary substitutions in a row, a unimodular change
+    of coordinates with integer inverse; on the cheapest inputs only, as
+    the substituted polynomials fill in."""
+    f = support.corpus_poly(label)
+    rng = random.Random(f"unimodular {label}")
+    g = f
+    for _ in range(3):
+        i, j = rng.sample(range(f.n), 2)
+        g = _substituted(g, i, j, rng.choice((-2, -1, 1, 2)))
+    assert g != f
     assert _invariants(g) == _plain(label)
 
 

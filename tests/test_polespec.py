@@ -8,6 +8,7 @@ import pytest
 
 import support
 import tables
+from koszulspec import polespec
 from koszulspec.decomp import build_invariant_table
 from koszulspec.koszul import KoszulWindow
 from koszulspec.linalg import IntEchelon, kernel_int_columns
@@ -74,6 +75,38 @@ def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
     state.finish_stage()
     for j, values in committed.items():
         assert all(state.rel[j].contains(v) for v in values), j
+
+
+def test_one_echelon_and_one_elimination_per_stage_one_degree(monkeypatch):
+    """Stage 1 builds one IntEchelon per degree, the relations, and picks
+    the generators that complete the boundaries with one pivot_columns
+    elimination per degree that has both cycles and boundaries."""
+    win = KoszulWindow(support.poly("6*x*y*z + 10*x*y*w + 15*x*z*w + 30*y*z*w", support.VARS4), k_max=12)
+    n, d, K = win.n, win.d, win.k_max
+    assert [win.mu(k) for k in range(K + 1)] and [win.nu(k) for k in range(K + 1)]
+    both = [
+        k
+        for k in range(2 * d, K + 1)
+        if len(win.wedge_columns(n - 1, k - d)) > win.rank_wedge(n - 1, k - d)
+        and win.wedge_columns(n - 2, k - 2 * d)
+    ]
+    assert both
+    echelons, eliminated = [], []
+    real_init, real_pivots = IntEchelon.__init__, polespec.pivot_columns
+
+    def echelon(self):
+        echelons.append(self)
+        real_init(self)
+
+    def pivots(rows):
+        eliminated.append(rows)
+        return real_pivots(rows)
+
+    monkeypatch.setattr(IntEchelon, "__init__", echelon)
+    monkeypatch.setattr(polespec, "pivot_columns", pivots)
+    state = SubquotientState(win)
+    assert [id(e) for e in echelons] == [id(state.rel[k]) for k in range(K + 1)]
+    assert len(eliminated) == len(both)
 
 
 def _d1_rank(win, k):
