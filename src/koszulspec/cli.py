@@ -438,11 +438,12 @@ def _check_one(
     return lines
 
 
-def _optional_int(value, name: str) -> int | None:
-    """A window or seed field of a corpus entry or catalog record."""
+def _optional_int(value, name: str, default: int | None = None) -> int | None:
+    """A window or seed field of a corpus entry or catalog record, or
+    `default` when it is absent or null."""
     if value is not None and type(value) is not int:
         raise ValueError(f"{name!r} must be an integer")
-    return value
+    return default if value is None else value
 
 
 def _optional_field(value, name: str, types: tuple[type, ...]):
@@ -493,7 +494,7 @@ def _record_args(rec: dict) -> argparse.Namespace:
         poly=rec.get("input"),
         vars=",".join(_variable_names(rec.get("variables"))) if engine else None,
         kmax=_optional_int(rec.get("k_max"), "k_max"),
-        seed=_optional_int(rec.get("seed"), "seed"),
+        seed=_optional_int(rec.get("seed"), "seed", 0),
         json=True,
         catalog=None,
         binary_form=_optional_field(rec.get("binary_form"), "binary_form", (str,)),
@@ -551,7 +552,7 @@ def _check_corpus(args) -> int:
                 text,
                 _variable_names(entry.get("vars", args.vars)),
                 _optional_int(entry.get("k_max"), "k_max"),
-                _optional_int(entry.get("seed", args.seed), "seed"),
+                _optional_int(entry.get("seed"), "seed", args.seed),
                 _optional_field(entry.get("nodal", False), "nodal", (bool,)),
                 _optional_rational(entry.get("alpha_min"), "alpha_min"),
                 _optional_exponents(entry.get("exponents"), "exponents"),

@@ -3,8 +3,10 @@
 M denotes the cokernel of df wedge on top forms, graded by ambient degree.
 Its torsion part (dimensions mu_torsion) is concentrated in degrees
 [n, n*d - n]; the free part (mu_free) is detected as the rank of
-multiplication by a high power of a generic linear form, which kills the
-torsion and is injective on the free part.
+multiplication by y^(n*d - k), y a generic linear form, which kills the
+torsion and is injective on the free part.  df wedge is S-linear, so y
+maps its image in degree k into that in degree k + 1, over Z and modulo
+each prime: y^(n*d - k) is the composite of the maps M_k -> M_{k+1}.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .koszul import KoszulWindow, assumption_evidence
-from .linalg import SparseVec
 from .poly import HomogeneousPoly, generic_linear_form
 
 
@@ -82,44 +83,21 @@ def tau(win: KoszulWindow) -> int:
     return hi
 
 
-def mult_columns(win: KoszulWindow, k: int, terms: dict[tuple[int, ...], int]) -> list[SparseVec]:
-    """Columns of multiplication by the form with exponent -> integer
-    coefficient `terms`, from n-forms of degree k; n-forms have a single
-    index set, so a row is a monomial position."""
-    m = k - win.n
-    cols: list[SparseVec] = [{} for _ in win.monomials(m)]
-    for add, c in terms.items():
-        for col, r in zip(cols, win.shift(m, add)):
-            col[r] = c
-    return cols
-
-
 def _split_window(win: KoszulWindow, y: HomogeneousPoly):
     """mu_torsion / mu_free over the whole window.  The torsion support is
     symmetric under k -> n*d - k and empty below n, so above n*d - n the
     split is just mu itself.  For n <= k <= n*d - n the free part is the
-    rank of multiplication by y^p, p = n*d - k, into M_{n*d}."""
+    rank of y^(n*d - k) from M_k into M_{n*d}, which `free_ranks` pushes
+    up one degree at a time through the eliminations behind mu."""
     n, nd = win.n, win.n * win.d
     mu = [win.mu(k) for k in range(win.k_max + 1)]
-    mu_f = [m if k > nd - n else 0 for k, m in enumerate(mu)]
     # A map into the zero space has rank 0, so a zero M_{n*d} makes every
     # degree torsion without any elimination.  This holds on the modular
     # path too: a rank mod p never exceeds the rank over Q, so a mu read off
     # modular ranks is never below the true mu, and mu(n*d) == 0 means the
     # target is zero over Q.
-    if mu[nd]:
-        y_terms = y.integer_terms()
-        power = {(0,) * n: 1}
-        for p in range(1, nd - n + 1):
-            nxt: dict[tuple[int, ...], int] = {}
-            for ea, ca in power.items():
-                for eb, cb in y_terms.items():
-                    key = tuple(a + b for a, b in zip(ea, eb))
-                    nxt[key] = nxt.get(key, 0) + ca * cb
-            power = nxt
-            k = nd - p
-            if p >= n and mu[k]:
-                mu_f[k] = win.class_rank(nd, mult_columns(win, k, power))
+    free = win.free_ranks(y) if mu[nd] else {}
+    mu_f = [m if k > nd - n else free.get(k, 0) for k, m in enumerate(mu)]
     mu_t = [m - f for m, f in zip(mu, mu_f)]
     return mu_t, mu_f
 

@@ -19,9 +19,9 @@ from .linalg import (
     ModularSpan,
     SparseVec,
     ZeroDivisorError,
-    combo_kernel,
     rank_exact_rows,
     rank_mod,
+    strip_content,
 )
 from .poly import HomogeneousPoly
 
@@ -94,11 +94,12 @@ class KoszulWindow:
     primes; when it meets a pivot divisible by one prime, the rank is
     computed by exact elimination instead.
     force_exact() recomputes every cached rank exactly and sends every
-    later rank, class_rank's included, down the exact path.
-    class_rank reduces forms against the df wedge image in M_k.  That image
-    is eliminated once modulo p0*p1, and for k = n*d the same span gives
-    rank_wedge its rank, so the block is eliminated once per table; it is
-    kept for every later call (exactly, after a zero divisor).
+    later rank, free_ranks' included, down the exact path.
+    For n <= k <= n*d the (n-1, k-d) block, the df wedge image in M_k, is
+    eliminated once modulo p0*p1 and kept as a span (an empty block gets
+    none): rank_wedge reads its rank from it, and free_ranks reduces by it
+    as it pushes a basis of M_k up one degree at a time (exact: one
+    IntEchelon per degree), so each block is eliminated once per table.
     The monomial lists and offset maps the columns are built from are
     cached on the window too, never module-wide, so every window starts
     from the same cold state.
@@ -267,9 +268,9 @@ class KoszulWindow:
 
     def _modular_rank(self, j: int, m: int, cols: list[SparseVec]) -> int:
         """Rank of df wedge out of (j, m) by one elimination modulo p0*p1,
-        exact on a zero divisor.  The image block in M_{n*d} is eliminated
-        as class_rank's span."""
-        if j == self.n - 1 and m + self.d == self.n * self.d:
+        exact on a zero divisor.  A block whose image lies in M_k, n <= k <=
+        n*d, is eliminated as the span the torsion/free split reduces by."""
+        if j == self.n - 1 and m + self.d <= self.n * self.d:
             span = self._image_span(m + self.d)
             return rank_exact_rows(cols) if span is None else span.rank
         try:
@@ -300,23 +301,62 @@ class KoszulWindow:
             self._image_spans[k] = span
         return self._image_spans[k]
 
-    def class_rank(self, k: int, forms: list[SparseVec]) -> int:
-        """Rank of the classes of the given n-forms of degree k in M_k, the
-        n-forms modulo the image of df wedge out of (n-1, k-d).  Reduced
-        against that image modulo p0*p1; on a zero divisor, or after
-        force_exact(), by exact elimination."""
-        if not self._exact_ranks:
+    def _quotient(self, k: int, p: int):
+        """M_k as (free monomial positions, map of an n-form onto a positive
+        multiple of its class on them), modulo p by the kept span, or exact
+        for p = 0 by an IntEchelon; below degree n - 1 + d the image is 0."""
+        dim = self.dim(self.n, k)
+        if k - self.d < self.n - 1:
+            return range(dim), lambda v: v
+        if p:
             span = self._image_span(k)
-            if span is not None:
-                try:
-                    return span.added_rank(forms)
-                except ZeroDivisorError:
-                    pass
+            if span is None:
+                raise ZeroDivisorError(f"the image in degree {k} met a zero divisor")
+            return [i for i in range(dim) if i not in span.step], span.reduce
         ech = self._image_echelons.get(k)
         if ech is None:
             ech = self._image_echelons[k] = IntEchelon()
             ech.add_many(self.wedge_columns(self.n - 1, k - self.d))
-        return len(combo_kernel(forms, ech)[1])
+        return [i for i in range(dim) if i not in ech.rows], lambda v: ech.reduce_full(v)[0]
+
+    def free_ranks(self, y: HomogeneousPoly) -> dict[int, int]:
+        """Rank of multiplication by y^(n*d - k) from M_k into M_{n*d}, for
+        n <= k <= n*d - n, as the composite of the maps M_k -> M_{k+1}: from
+        the top down, each free monomial times y is reduced in degree k + 1
+        and sent on through the images of that degree.  Modulo p0*p1; exact
+        after force_exact() or on a zero divisor."""
+        if not self._exact_ranks:
+            try:
+                return self._push(y, PRIME_PRODUCT)
+            except ZeroDivisorError:
+                pass
+        return self._push(y, 0)
+
+    def _push(self, y: HomogeneousPoly, p: int) -> dict[int, int]:
+        """free_ranks modulo p, or exact for p = 0; img maps each free
+        position to its image in M_{n*d}."""
+        n, nd = self.n, self.n * self.d
+        terms = y.integer_terms()
+        top, reduce = self._quotient(nd, p)
+        img = {i: {i: 1} for i in top}
+        ranks: dict[int, int] = {}
+        for k in range(nd - 1, n - 1, -1):
+            free, below = self._quotient(k, p)
+            maps = [(self.shift(k - n, e), c) for e, c in terms.items()]
+            nxt = {}
+            for i in free:
+                vec: SparseVec = {}
+                for j, a in reduce({s[i]: c for s, c in maps}).items():
+                    for t, x in img.get(j, {}).items():
+                        vec[t] = vec.get(t, 0) + a * x
+                vec = {t: z for t, x in vec.items() if (z := x % p if p else x)}
+                if vec:
+                    nxt[i] = vec if p else strip_content(vec)[0]
+            img, reduce = nxt, below
+            if k <= nd - n:
+                vecs = list(img.values())
+                ranks[k] = self._image_span(nd).added_rank(vecs) if p else rank_exact_rows(vecs)
+        return ranks
 
     # -- graded invariants -------------------------------------------------------
 

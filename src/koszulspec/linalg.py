@@ -44,7 +44,7 @@ PRIME_PRODUCT = DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]
 SparseVec = dict[int, int]
 
 
-def _strip_content(vec: SparseVec) -> tuple[SparseVec, int]:
+def strip_content(vec: SparseVec) -> tuple[SparseVec, int]:
     """Divide out the gcd of the entries; returns (vector, removed content)."""
     g = 0
     for v in vec.values():
@@ -94,7 +94,7 @@ def vec_from_fractions(values) -> tuple[SparseVec, Fraction]:
     for v in fracs.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
     ints = {i: int(v * denom) for i, v in fracs.items()}
-    ints, content = _strip_content(ints)
+    ints, content = strip_content(ints)
     return ints, Fraction(denom, content)
 
 
@@ -171,7 +171,7 @@ def _eliminate(
             if side is not None:
                 new, side[j] = strip_joint_content(new, _cross(mp, side[j], ma, side[i]))
             else:
-                new, _ = _strip_content(new)
+                new, _ = strip_content(new)
             work[j] = new
             if new:
                 active[j] = new
@@ -186,13 +186,13 @@ def _eliminate(
     return pivots, work, side
 
 
-def pivot_columns(rows: list[SparseVec]) -> set[int]:
-    """Pivot columns of one sparse exact elimination of `rows`.  The rows
-    restricted to these columns have full rank, the rank of `rows`: each
-    pivot row holds no earlier pivot column, so the pivot block is
-    triangular with a nonzero diagonal."""
+def pivot_columns(rows: list[SparseVec]) -> dict[int, int]:
+    """Pivot columns of one sparse exact elimination of `rows`, each mapped
+    to its pivot row, and those rows are a basis of the span of `rows`: on
+    these columns they have full rank, the rank of `rows`, since each pivot
+    row holds no earlier pivot column (a triangular, nonzero diagonal)."""
     pivots, _, _ = _eliminate(rows)
-    return {c for c, _ in pivots}
+    return dict(pivots)
 
 
 def rank_exact_rows(rows: list[SparseVec]) -> int:
@@ -225,7 +225,7 @@ def _back_reduce(
             if side is not None:
                 side[i] = _cross(mp, side[i], ma, side[k])
         if side is None:
-            rows[i], _ = _strip_content(row)
+            rows[i], _ = strip_content(row)
         else:
             rows[i], side[i] = strip_joint_content(row, side[i])
 
@@ -364,7 +364,7 @@ class IntEchelon:
                 num *= mp
             if not v:
                 break
-            v, content = _strip_content(v)
+            v, content = strip_content(v)
             den *= content
             hits = sorted(c for c in v if c in self.rows)
         return v, Fraction(num, den)
@@ -513,7 +513,7 @@ class ModularSpan:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: SparseVec) -> SparseVec:
+    def reduce(self, vec: SparseVec) -> SparseVec:
         """vec mod p minus its combination of pivot rows: the residual has no
         entry at any pivot index.  The pivots it hits are taken in
         elimination order; a pivot row only brings in later pivot indices."""
@@ -544,4 +544,4 @@ class ModularSpan:
 
     def added_rank(self, columns: list[SparseVec]) -> int:
         """rank([A | columns]) - rank(A) modulo p, A being the span."""
-        return len(_eliminate_mod([self._reduce(v) for v in columns], self.p))
+        return len(_eliminate_mod([self.reduce(v) for v in columns], self.p))

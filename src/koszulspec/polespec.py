@@ -126,13 +126,6 @@ class SubquotientState:
                 continue
             bnd = win.wedge_columns(n - 2, m - d) if m >= d else []
             deriv = win.derivative_columns(n - 1, m)
-            # sign-convention guard: derivatives of boundaries must already
-            # be relations, otherwise classes have no well-defined value
-            for b in bnd:
-                if not self.rel[m].contains(_combine(deriv, b)):
-                    raise WellDefinednessViolation(
-                        f"derivative of a boundary escapes relations at degree {m}"
-                    )
             # a cycle is fixed by its entries at the free columns of the
             # kernel basis, where that basis is diagonal, so the cycles map
             # one-to-one onto those columns.  On the pivot columns of any
@@ -140,8 +133,16 @@ class SubquotientState:
             # so the cycles whose free column is no such pivot complete the
             # boundaries to a basis of the cycles; one sparse Markowitz
             # elimination finds them
-            proj = ({f: v for f, v in b.items() if f in cyc} for b in bnd)
-            taken = pivot_columns([p for p in proj if p]) if bnd else set()
+            proj = [(b, p) for b in bnd if (p := {f: v for f, v in b.items() if f in cyc})]
+            taken = pivot_columns([p for _, p in proj]) if bnd else {}
+            # sign-convention guard: derivatives of boundaries must already
+            # be relations, otherwise classes have no well-defined value; by
+            # linearity the boundaries at the pivot rows, a basis, suffice
+            for i in taken.values():
+                if not self.rel[m].contains(_combine(deriv, proj[i][0])):
+                    raise WellDefinednessViolation(
+                        f"derivative of a boundary escapes relations at degree {m}"
+                    )
             glist = [
                 _Gen(rep=z, lift=z, value=_combine(deriv, z))
                 for f, z in cyc.items()

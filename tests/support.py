@@ -14,7 +14,15 @@ from math import lcm
 from koszulspec.closedform import BinaryFormFactorization
 from koszulspec.decomp import build_invariant_table
 from koszulspec.koszul import KoszulWindow
-from koszulspec.linalg import DEFAULT_PRIMES, rank_exact_rows, rank_mod
+from koszulspec.linalg import (
+    DEFAULT_PRIMES,
+    PRIME_PRODUCT,
+    IntEchelon,
+    ModularSpan,
+    combo_kernel,
+    rank_exact_rows,
+    rank_mod,
+)
 from koszulspec.poly import HomogeneousPoly, parse_poly, serialize_poly
 
 VARS2 = ("x", "y")
@@ -326,3 +334,45 @@ def reference_mult_columns(win, terms, k, p):
         {target[(idx, tuple(a + b for a, b in zip(expo, add)))]: c for add, c in terms.items()}
         for idx, expo in reference_basis(win.n, win.n, k)
     ]
+
+
+def mult_columns(win, k, terms):
+    """Columns of multiplication by the form with exponent -> integer
+    coefficient `terms`, from n-forms of degree k, built from the window's
+    offset maps; n-forms have a single index set, so a row is a monomial
+    position."""
+    cols = [{} for _ in win.monomials(k - win.n)]
+    for add, c in terms.items():
+        for col, r in zip(cols, win.shift(k - win.n, add)):
+            col[r] = c
+    return cols
+
+
+def reference_free_ranks(win, y, exact=False):
+    """The y^p-column split: for n <= k <= n*d - n, the rank of
+    multiplication by y^p, p = n*d - k, from n-forms of degree k into
+    M_{n*d}, with y^p expanded as integer terms and its columns reduced
+    against the df wedge image in degree n*d.  Modulo p0*p1 (which may
+    raise ZeroDivisorError), or exact by the residuals `combo_kernel`
+    keeps.  The window's free ranks push one degree at a time instead."""
+    n, nd = win.n, win.n * win.d
+    image = win.wedge_columns(n - 1, nd - win.d)
+    if exact:
+        ech = IntEchelon()
+        ech.add_many(image)
+    else:
+        span = ModularSpan(image, PRIME_PRODUCT)
+    y_terms = y.integer_terms()
+    power = {(0,) * n: 1}
+    ranks = {}
+    for p in range(1, nd - n + 1):
+        nxt = {}
+        for ea, ca in power.items():
+            for eb, cb in y_terms.items():
+                key = tuple(a + b for a, b in zip(ea, eb))
+                nxt[key] = nxt.get(key, 0) + ca * cb
+        power = nxt
+        if p >= n:
+            cols = mult_columns(win, nd - p, power)
+            ranks[nd - p] = len(combo_kernel(cols, ech)[1]) if exact else span.added_rank(cols)
+    return ranks

@@ -306,6 +306,23 @@ def test_check_corpus_keeps_going_past_a_bad_entry(tmp_path, capsys):
     assert lines[4] == "corpus: 4 records, 0 passed, 0 failed, 4 errors"
 
 
+def test_check_corpus_null_seed_means_the_default(tmp_path, capsys):
+    """A null seed is the CLI default, like an absent one: the entry runs,
+    and so does the next one."""
+    entries = [
+        {"input": "x*y*z", "vars": "x,y,z", "seed": None},
+        {"input": "x^3 + y^3 + z^3", "vars": "x,y,z"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    code, out, _ = run(capsys, "check", "--corpus", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS x*y*z:")
+    assert lines[1].startswith("PASS x^3 + y^3 + z^3:")
+    assert lines[2] == "corpus: 2 records, 2 passed, 0 failed, 0 errors"
+
+
 def test_check_corpus_rejects_malformed_fields(tmp_path, capsys):
     """A bad input, alpha_min, exponents, binary_form or nodal value is an
     input error of its own entry, not a crash of the batch; so is a zero
@@ -391,6 +408,19 @@ def test_catalog_skips_other_versions(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--catalog", str(cat))
     assert code == 0
     assert "2 records, 1 verified, 1 skipped" in out
+
+
+def test_catalog_record_without_a_seed_uses_the_default(tmp_path, capsys):
+    """A record with no seed is verified with the default seed 0."""
+    cat = tmp_path / "catalog.jsonl"
+    run(capsys, "invariants", "x*y*z", "--catalog", str(cat))
+    rec = json.loads(cat.read_text())
+    assert rec["seed"] == 0
+    del rec["seed"]
+    cat.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run(capsys, "check", "--catalog", str(cat))
+    assert code == 0
+    assert "1 records, 1 verified, 0 skipped (other version), 0 mismatches" in out
 
 
 def test_catalog_errors_name_the_line(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Torsion/free decomposition, identity suite, local-data checks."""
 
 import copy
+import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -20,8 +23,8 @@ from koszulspec.decomp import (
     verify_corollaries,
 )
 from koszulspec.koszul import KoszulWindow
-from koszulspec.linalg import PRIME_PRODUCT, ModularSpan
-from koszulspec.poly import generic_linear_form
+from koszulspec.linalg import DEFAULT_PRIMES, PRIME_PRODUCT, ModularSpan
+from koszulspec.poly import HomogeneousPoly, generic_linear_form
 
 
 def test_tau_values():
@@ -208,20 +211,31 @@ def test_table_raises_when_every_attempt_fails(monkeypatch):
 
 
 def test_split_spans_survive_seed_retries(monkeypatch):
-    """The image of df wedge in M_{n*d} is eliminated once for the whole
-    table, modulo p0*p1: the three failing modular attempts share one
-    span, and the exact attempt builds none."""
-    real = ModularSpan.__init__
-    built = []
+    """The image of df wedge in each degree n <= k <= n*d is eliminated once
+    for the whole table, modulo p0*p1, while mu is read: the three failing
+    modular split attempts build no further span, and neither does the
+    exact attempt."""
+    real_init, real_span = KoszulWindow.__init__, ModularSpan.__init__
+    windows, built = [], []
+    calls = _skewed_split(monkeypatch, always=False)
+
+    def window(self, *args):
+        windows.append(self)
+        real_init(self, *args)
 
     def counted(self, columns, p):
-        built.append(p)
-        real(self, columns, p)
+        calls.append("span")
+        built.append((id(columns), p))
+        real_span(self, columns, p)
 
-    _skewed_split(monkeypatch, always=False)
+    monkeypatch.setattr(KoszulWindow, "__init__", window)
     monkeypatch.setattr(ModularSpan, "__init__", counted)
     build_invariant_table(support.poly("x*y*z", support.VARS3), seed=3)
-    assert built == [PRIME_PRODUCT]
+    [win] = windows
+    n, d = win.n, win.d
+    blocks = [id(win.wedge_columns(n - 1, k - d)) for k in range(n - 1 + d, n * d + 1)]
+    assert sorted(built) == sorted((b, PRIME_PRODUCT) for b in blocks)
+    assert calls == ["span"] * len(blocks) + ATTEMPTS
 
 
 def test_one_modular_elimination_per_wedge_block(monkeypatch):
@@ -287,27 +301,104 @@ def test_syzygy_counts_match_first_nu():
 
 
 def test_split_skips_a_zero_target(monkeypatch):
-    """Where mu(n*d) = 0 the free rank is 0 without any elimination: on a
-    smooth input the target is zero, so the table never calls class_rank;
-    on a singular one it still does."""
-    real = KoszulWindow.class_rank
-    calls = []
+    """Where mu(n*d) = 0 the free rank is 0 without any push or elimination:
+    on a smooth input the table never pushes, reduces by no span and ranks
+    nothing.  On a singular one each attempt pushes once, and only the span
+    in degree n*d ranks, once per degree n <= k <= n*d - n."""
 
-    def refuse(self, k, forms):
-        raise AssertionError(f"class_rank({k}) called")
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(KoszulWindow, "class_rank", refuse)
+        return call
+
+    for cls, name in [(KoszulWindow, "free_ranks"), (KoszulWindow, "_push"),
+                      (ModularSpan, "reduce"), (ModularSpan, "added_rank")]:
+        monkeypatch.setattr(cls, name, refuse(name))
     data = tables.FERMAT_CUBIC
     tab = build_invariant_table(support.poly(data["text"], data["variables"]))
     assert tab.tau == data["tau"]
     for key in ("mu", "mu_torsion", "mu_free", "nu"):
         tables.assert_row(getattr(tab, key), data[key], label=f"fermat cubic.{key}")
+    monkeypatch.undo()
 
-    def counted(self, k, forms):
-        calls.append(k)
-        return real(self, k, forms)
+    real_free, real_added = KoszulWindow.free_ranks, ModularSpan.added_rank
+    pushed, ranked = [], []
 
-    monkeypatch.setattr(KoszulWindow, "class_rank", counted)
+    def free(self, y):
+        pushed.append(self)
+        return real_free(self, y)
+
+    def added(self, columns):
+        ranked.append(self)
+        return real_added(self, columns)
+
+    monkeypatch.setattr(KoszulWindow, "free_ranks", free)
+    monkeypatch.setattr(ModularSpan, "added_rank", added)
     tab = build_invariant_table(support.corpus_poly("xyz"))
-    assert calls and set(calls) == {9}
+    [win] = pushed
+    top = win._image_span(win.n * win.d)
+    assert ranked == [top] * (win.n * win.d - 2 * win.n + 1)
     tables.assert_row(tab.mu_free, tables.XYZ["mu_free"], label="xyz.mu_free")
+
+
+def _rescaled(f, label):
+    """f with each x_i replaced by c_i * x_i, c_i seeded by the label."""
+    rng = random.Random(f"rescale {label}")
+    c = [rng.randint(2, 5) for _ in range(f.n)]
+    terms = {e: a * prod(Fraction(ci) ** ei for ci, ei in zip(c, e)) for e, a in f.terms.items()}
+    return HomogeneousPoly(f.n, f.degree, terms)
+
+
+@pytest.mark.parametrize("rescale", [False, True])
+@pytest.mark.parametrize("label", ["ts_4_4_1", "ts_4_4_2", "cayley", "nonwh"])
+def test_free_ranks_match_the_y_power_reference(label, rescale):
+    """The one-degree push gives the ranks of the y^p columns reduced in
+    M_{n*d}, modulo p0*p1 and on a forced-exact window.  The modular window
+    builds no exact echelon, and the exact one builds no span."""
+    f = support.corpus_poly(label)
+    if rescale:
+        f = _rescaled(f, label)
+    y = generic_linear_form(f.n, 11 if rescale else 0)
+    win, exact = KoszulWindow(f), KoszulWindow(f)
+    exact.force_exact()
+    got = win.free_ranks(y)
+    assert sorted(got) == list(range(f.n, f.n * f.degree - f.n + 1))
+    assert got == support.reference_free_ranks(win, y)
+    assert exact.free_ranks(y) == support.reference_free_ranks(exact, y, exact=True) == got
+    assert not win._image_echelons and not exact._image_spans
+
+
+@pytest.mark.parametrize("prime", DEFAULT_PRIMES)
+@pytest.mark.parametrize(
+    "text, variables",
+    [("{}*x^3 + y^2*z", support.VARS3), ("x^2*y^2 + {}*z^4", support.VARS3),
+     ("{}*x^3 + y^3", support.VARS2), ("x^2 + {}*y^2", support.VARS2)],
+)
+def test_free_ranks_fall_back_to_exact_on_a_zero_divisor(text, variables, prime):
+    """A lone coefficient divisible by p0 or p1 makes a span meet a zero
+    divisor: the push then runs exact, and agrees with the exact y^p
+    reference."""
+    f = support.poly(text.format(prime), variables)
+    win = KoszulWindow(f)
+    y = generic_linear_form(f.n, 0)
+    got = win.free_ranks(y)
+    assert None in win._image_spans.values() and win._image_echelons
+    assert got == support.reference_free_ranks(KoszulWindow(f), y, exact=True)
+
+
+@pytest.mark.parametrize(
+    "text, p, q",
+    [("x^5 + y^4*z + x^2*y^2*z", 4, 5), ("x^5 + y^5 + x^2*y^2*z", 5, 5),
+     ("x^5*z + y^6 + x^2*y^2*z^2", 5, 6), ("x^6 + y^6 + x^2*y^2*z^2", 6, 6),
+     ("x^7 + y^7 + x^2*y^2*z^3", 7, 7)],
+)
+def test_tau_of_a_single_t_pq_point(text, p, q):
+    """Each curve has one singular point, a T_{p,q} germ x^p + y^q + x^2*y^2
+    with 1/p + 1/q < 1/2.  Its Milnor number is p + q + 1, and since the
+    germ is not quasi-homogeneous its Tjurina number is one less (K. Saito,
+    Invent. Math. 14, 1971): tau = p + q.  The split passes every proved
+    relation."""
+    tab = build_invariant_table(support.poly(text, support.VARS3))
+    assert tab.tau == p + q
+    assert verify_corollaries(tab).ok

@@ -7,7 +7,6 @@ import pytest
 
 import support
 import tables
-from koszulspec.decomp import mult_columns
 from koszulspec.koszul import (
     KoszulWindow,
     assumption_evidence,
@@ -202,9 +201,10 @@ def _entries(cols):
 
 @pytest.mark.parametrize("text, variables, top", COLUMN_CASES)
 def test_columns_match_reference_builders(text, variables, top):
-    """df wedge, the exterior derivative and multiplication by y^p equal
-    the tuple-keyed construction entry for entry and in key order, which
-    pins every elimination tie-break downstream."""
+    """df wedge, the exterior derivative and multiplication by y^p (the
+    reference split's columns, from the window's offset maps) equal the
+    tuple-keyed construction entry for entry and in key order, which pins
+    every elimination tie-break downstream."""
     win = KoszulWindow(support.poly(text, variables))
     for j in range(win.n):
         for m in range(j, top + 1):
@@ -218,7 +218,7 @@ def test_columns_match_reference_builders(text, variables, top):
     for k in range(win.n, top + 1):
         for p in (1, 2, 3):
             terms = y.pow(p).integer_terms()
-            assert _entries(mult_columns(win, k, terms)) == _entries(
+            assert _entries(support.mult_columns(win, k, terms)) == _entries(
                 support.reference_mult_columns(win, terms, k, p)
             ), (k, p)
 

@@ -24,7 +24,7 @@ from koszulspec import koszul
 from koszulspec.decomp import build_invariant_table
 from koszulspec.koszul import KoszulWindow
 from koszulspec.linalg import DEFAULT_PRIMES, PRIME_PRODUCT, ModularSpan, ZeroDivisorError
-from koszulspec.poly import HomogeneousPoly
+from koszulspec.poly import HomogeneousPoly, generic_linear_form
 from koszulspec.polespec import pole_spectrum, stage_snapshot, torsion_profile
 
 LABELS = ["xyz", "twoa3", "cusp", "x3y2+x2y3", "nonwh"]
@@ -127,8 +127,8 @@ LONE_TERMS = {"cusp": (3, 0, 0), "twoa3": (0, 0, 4), "x3+y3": (3, 0), "x2+y2": (
 def test_invariants_survive_scaling_a_lone_coefficient(monkeypatch, label, factor):
     """A factor p0 or p1 makes the elimination modulo p0*p1 meet a zero
     divisor: those cases must fall back to exact elimination, never to a
-    modulus other than p0*p1, and every wedge rank and the class rank in
-    degree n*d must equal those of a forced-exact window."""
+    modulus other than p0*p1, and every wedge rank and the free ranks of
+    the split must equal those of a forced-exact window."""
     f = _input(label)
     lone = LONE_TERMS[label]
     assert any(lone[i] and all(not e[i] for e in f.terms if e != lone) for i in range(f.n))
@@ -159,10 +159,10 @@ def test_invariants_survive_scaling_a_lone_coefficient(monkeypatch, label, facto
     win, exact = KoszulWindow(g), KoszulWindow(g)
     exact.force_exact()
     k = g.n * g.degree
-    forms = [{i: 1} for i in range(win.dim(g.n, k))]
+    y = generic_linear_form(g.n, 0)
     blocks = [(j, m) for j in range(g.n) for m in range(j, k - g.degree + 1)]
     assert [win.rank_wedge(*b) for b in blocks] == [exact.rank_wedge(*b) for b in blocks]
-    assert win.class_rank(k, forms) == exact.class_rank(k, forms)
+    assert win.free_ranks(y) == exact.free_ranks(y)
     monkeypatch.undo()
     assert set(moduli) == {PRIME_PRODUCT}
     assert bool(raised) == (factor in DEFAULT_PRIMES)

@@ -16,6 +16,7 @@ from koszulspec.polespec import (
     BoundViolation,
     PoleSpectrum,
     SubquotientState,
+    WellDefinednessViolation,
     check_exponent_bounds,
     pole_spectrum,
     stage_snapshot,
@@ -107,6 +108,40 @@ def test_one_echelon_and_one_elimination_per_stage_one_degree(monkeypatch):
     state = SubquotientState(win)
     assert [id(e) for e in echelons] == [id(state.rel[k]) for k in range(K + 1)]
     assert len(eliminated) == len(both)
+
+
+def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
+    """The well-definedness guard reduces D b only for the boundaries at
+    the pivot rows of the generator elimination, a basis of the boundary
+    span: one reduction per dimension (361 here, of 420 boundary columns).
+    By linearity that is the whole check, so a derivative whose sign is
+    wrong on one index-set block is still caught."""
+    win = KoszulWindow(support.poly("6*x*y*z + 10*x*y*w + 15*x*z*w + 30*y*z*w", support.VARS4), k_max=12)
+    n, d, K = win.n, win.d, win.k_max
+    cycled = [k for k in range(d, K + 1) if len(win.wedge_columns(n - 1, k - d)) > win.rank_wedge(n - 1, k - d)]
+    dims = sum(win.rank_wedge(n - 2, k - 2 * d) for k in cycled)
+    columns = sum(len(win.wedge_columns(n - 2, k - 2 * d)) for k in cycled if k >= 2 * d)
+    real = IntEchelon.contains
+    reduced = []
+
+    def contains(self, vec):
+        reduced.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(IntEchelon, "contains", contains)
+    SubquotientState(win)
+    assert (len(reduced), dims, columns) == (361, 361, 420)
+
+    win = KoszulWindow(support.poly("x*y*z", support.VARS3))
+    real_deriv = win.derivative_columns
+
+    def flipped(j, m):
+        size = len(win.monomials(m - j))
+        return [{r: -x for r, x in c.items()} if q < size else c for q, c in enumerate(real_deriv(j, m))]
+
+    monkeypatch.setattr(win, "derivative_columns", flipped)
+    with pytest.raises(WellDefinednessViolation):
+        SubquotientState(win)
 
 
 def _d1_rank(win, k):
