@@ -439,8 +439,7 @@ def _check_one(
 
 
 def _optional_int(value, name: str, default: int | None = None) -> int | None:
-    """A window or seed field of a corpus entry or catalog record, or
-    `default` when it is absent or null."""
+    """A window or seed field of a corpus entry or catalog record; `default` if null."""
     if value is not None and type(value) is not int:
         raise ValueError(f"{name!r} must be an integer")
     return default if value is None else value

@@ -21,7 +21,7 @@ from .linalg import (
     ZeroDivisorError,
     rank_exact_rows,
     rank_mod,
-    strip_content,
+    vec_from_fractions,
 )
 from .poly import HomogeneousPoly
 
@@ -302,9 +302,9 @@ class KoszulWindow:
         return self._image_spans[k]
 
     def _quotient(self, k: int, p: int):
-        """M_k as (free monomial positions, map of an n-form onto a positive
-        multiple of its class on them), modulo p by the kept span, or exact
-        for p = 0 by an IntEchelon; below degree n - 1 + d the image is 0."""
+        """M_k as (free monomial positions, map of an n-form onto its class
+        on them), modulo p by the kept span, or for p = 0 over Q by an
+        IntEchelon; below degree n - 1 + d the image is 0."""
         dim = self.dim(self.n, k)
         if k - self.d < self.n - 1:
             return range(dim), lambda v: v
@@ -317,14 +317,17 @@ class KoszulWindow:
         if ech is None:
             ech = self._image_echelons[k] = IntEchelon()
             ech.add_many(self.wedge_columns(self.n - 1, k - self.d))
-        return [i for i in range(dim) if i not in ech.rows], lambda v: ech.reduce_full(v)[0]
+        def exact(v: SparseVec) -> SparseVec:
+            res, scale = ech.reduce_full(v)
+            return {c: x / scale for c, x in res.items()}
+        return [i for i in range(dim) if i not in ech.rows], exact
 
     def free_ranks(self, y: HomogeneousPoly) -> dict[int, int]:
-        """Rank of multiplication by y^(n*d - k) from M_k into M_{n*d}, for
-        n <= k <= n*d - n, as the composite of the maps M_k -> M_{k+1}: from
-        the top down, each free monomial times y is reduced in degree k + 1
-        and sent on through the images of that degree.  Modulo p0*p1; exact
-        after force_exact() or on a zero divisor."""
+        """Rank of y^(n*d - k) from M_k into M_{n*d}, n <= k <= n*d - n, as
+        the composite of the maps M_k -> M_{k+1}: from the top down, each free
+        monomial times y is reduced in degree k + 1 and sent on through the
+        images of that degree.  Modulo p0*p1; exact after force_exact() or on
+        a zero divisor."""
         if not self._exact_ranks:
             try:
                 return self._push(y, PRIME_PRODUCT)
@@ -334,7 +337,7 @@ class KoszulWindow:
 
     def _push(self, y: HomogeneousPoly, p: int) -> dict[int, int]:
         """free_ranks modulo p, or exact for p = 0; img maps each free
-        position to its image in M_{n*d}."""
+        position to its image in M_{n*d}, over Q, as the next degree sums it."""
         n, nd = self.n, self.n * self.d
         terms = y.integer_terms()
         top, reduce = self._quotient(nd, p)
@@ -349,12 +352,10 @@ class KoszulWindow:
                 for j, a in reduce({s[i]: c for s, c in maps}).items():
                     for t, x in img.get(j, {}).items():
                         vec[t] = vec.get(t, 0) + a * x
-                vec = {t: z for t, x in vec.items() if (z := x % p if p else x)}
-                if vec:
-                    nxt[i] = vec if p else strip_content(vec)[0]
+                nxt[i] = {t: z for t, x in vec.items() if (z := x % p if p else x)}
             img, reduce = nxt, below
             if k <= nd - n:
-                vecs = list(img.values())
+                vecs = [v if p else vec_from_fractions(v)[0] for v in img.values()]
                 ranks[k] = self._image_span(nd).added_rank(vecs) if p else rank_exact_rows(vecs)
         return ranks
 

@@ -44,7 +44,7 @@ PRIME_PRODUCT = DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]
 SparseVec = dict[int, int]
 
 
-def strip_content(vec: SparseVec) -> tuple[SparseVec, int]:
+def _strip_content(vec: SparseVec) -> tuple[SparseVec, int]:
     """Divide out the gcd of the entries; returns (vector, removed content)."""
     g = 0
     for v in vec.values():
@@ -94,7 +94,7 @@ def vec_from_fractions(values) -> tuple[SparseVec, Fraction]:
     for v in fracs.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
     ints = {i: int(v * denom) for i, v in fracs.items()}
-    ints, content = strip_content(ints)
+    ints, content = _strip_content(ints)
     return ints, Fraction(denom, content)
 
 
@@ -171,7 +171,7 @@ def _eliminate(
             if side is not None:
                 new, side[j] = strip_joint_content(new, _cross(mp, side[j], ma, side[i]))
             else:
-                new, _ = strip_content(new)
+                new, _ = _strip_content(new)
             work[j] = new
             if new:
                 active[j] = new
@@ -225,7 +225,7 @@ def _back_reduce(
             if side is not None:
                 side[i] = _cross(mp, side[i], ma, side[k])
         if side is None:
-            rows[i], _ = strip_content(row)
+            rows[i], _ = _strip_content(row)
         else:
             rows[i], side[i] = strip_joint_content(row, side[i])
 
@@ -364,7 +364,7 @@ class IntEchelon:
                 num *= mp
             if not v:
                 break
-            v, content = strip_content(v)
+            v, content = _strip_content(v)
             den *= content
             hits = sorted(c for c in v if c in self.rows)
         return v, Fraction(num, den)

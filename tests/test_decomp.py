@@ -351,12 +351,33 @@ def _rescaled(f, label):
 
 
 @pytest.mark.parametrize("rescale", [False, True])
-@pytest.mark.parametrize("label", ["ts_4_4_1", "ts_4_4_2", "cayley", "nonwh"])
+@pytest.mark.parametrize(
+    "label",
+    [
+        "ts_4_4_1", "ts_4_4_2", "cayley", "nonwh",
+        "x^5 + y^4*z + x^2*y^2*z", "x^6 + y^6 + x^2*y^2*z^2",
+        # x*y^3 + z^4 with y -> y + z
+        "x*y^3 + 3*x*y^2*z + 3*x*y*z^2 + x*z^3 + z^4",
+        # x^2*y^2 + z^4 with x -> x + z, y -> y + 2*z
+        "x^2*y^2 + 4*x^2*y*z + 4*x^2*z^2 + 2*x*y^2*z + 8*x*y*z^2 + 8*x*z^3"
+        " + y^2*z^2 + 4*y*z^3 + 5*z^4",
+    ],
+)
 def test_free_ranks_match_the_y_power_reference(label, rescale):
     """The one-degree push gives the ranks of the y^p columns reduced in
     M_{n*d}, modulo p0*p1 and on a forced-exact window.  The modular window
-    builds no exact echelon, and the exact one builds no span."""
-    f = support.corpus_poly(label)
+    builds no exact echelon, and the exact one builds no span.
+
+    On the exact path an image in M_{n*d} is summed again one degree down,
+    so it must be the image itself, not a multiple with a scale of its own.
+    On the last two curves the singular points are off the coordinate
+    vertices, so y maps torsion onto torsion that no set of free monomials
+    spans, and images kept up to such scales give mu_free 6, not 5, in
+    degree n*d - n - 1."""
+    if label in support.CORPUS:
+        f = support.corpus_poly(label)
+    else:
+        f = support.poly(label, support.VARS3)
     if rescale:
         f = _rescaled(f, label)
     y = generic_linear_form(f.n, 11 if rescale else 0)
