@@ -203,9 +203,9 @@ def build_invariant_table(
     redone with exact ranks and the original seed before a violation is
     finally raised.
     """
+    if k_max is not None and k_max < f.n * f.degree:
+        raise ValueError(f"k_max must be at least n*d = {f.n * f.degree}")
     win = KoszulWindow(f, k_max)
-    if win.k_max < win.n * win.d:
-        raise ValueError(f"k_max must be at least n*d = {win.n * win.d}")
     evidence = assumption_evidence(win)
     if not evidence.passed:
         raise AssumptionFailure(evidence)

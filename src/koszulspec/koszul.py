@@ -100,6 +100,8 @@ class KoszulWindow:
     none): rank_wedge reads its rank from it, and free_ranks reduces by it
     as it pushes a basis of M_k up one degree at a time (exact: one
     IntEchelon per degree), so each block is eliminated once per table.
+    record_exact_rank caches a rank found exactly elsewhere; on the tower
+    window stage 1 records every (n-1, m) and (n-2, m) rank (no span).
     The monomial lists and offset maps the columns are built from are
     cached on the window too, never module-wide, so every window starts
     from the same cold state.
@@ -289,6 +291,11 @@ class KoszulWindow:
         downstream identity fails, before trusting the failure."""
         if 0 <= j <= self.n - 1 and m >= j:
             self._rank[(j, m)] = rank_exact_rows(self.wedge_columns(j, m))
+
+    def record_exact_rank(self, j: int, m: int, r: int) -> None:
+        """Cache a rank of df wedge out of (j, m) found by exact elimination."""
+        if 0 <= j <= self.n - 1 and m >= j:
+            self._rank[(j, m)] = r
 
     def _image_span(self, k: int) -> ModularSpan | None:
         """Span modulo p0*p1 of the df wedge image in M_k, built once; None,

@@ -461,9 +461,28 @@ def test_exit_bad_window(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kmax", ["0", "1", "2"])
+def test_exit_kmax_below_nd_names_the_bound(capsys, kmax):
+    code, out, err = run(capsys, "spectrum", "x*y", "--vars", "x,y", "--kmax", kmax)
+    assert (code, out) == (2, "")
+    assert err == "error: k_max must be at least n*d = 4\n"
+
+
 def test_exit_assumption_failure(capsys):
     code, _, err = run(capsys, "invariants", "x^2")
     assert code == 3
+
+
+def test_spectrum_refusal_comes_from_the_table_scan(capsys):
+    """spectrum builds the table, and so runs its assumption scan, before
+    the tower: a refuted input exits 3 with the table's evidence."""
+    code, out, err = run(capsys, "spectrum", "x^2", "--vars", "x,y,z")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: assumption evidence failed: AssumptionEvidence(h2_ok=False, "
+        "first_h2_offender=5, euler_ok=False, first_euler_offender=5, "
+        "mu_stabilized=False, mu_top_values=(5, 6))\n"
+    )
 
 
 def test_exit_unwritable_catalog(capsys):

@@ -8,10 +8,10 @@ import pytest
 
 import support
 import tables
-from koszulspec import polespec
-from koszulspec.decomp import build_invariant_table
-from koszulspec.koszul import KoszulWindow
-from koszulspec.linalg import IntEchelon, kernel_int_columns
+from koszulspec import koszul, polespec
+from koszulspec.decomp import AssumptionFailure, build_invariant_table
+from koszulspec.koszul import KoszulWindow, assumption_evidence
+from koszulspec.linalg import IntEchelon, ModularSpan, kernel_int_columns
 from koszulspec.polespec import (
     BoundViolation,
     PoleSpectrum,
@@ -27,8 +27,10 @@ F = Fraction
 
 
 def test_stage_one_state_matches_window():
-    win = support.corpus_window("xyz")
-    state = SubquotientState(win)
+    """Stage 1 records its ranks on its own window, so the comparison is
+    with the modular ranks of a second window."""
+    state = SubquotientState(KoszulWindow(support.corpus_poly("xyz")))
+    win = KoszulWindow(support.corpus_poly("xyz"))
     assert state.stage == 1
     for k in range(win.k_max + 1):
         assert state.m_dim(k) == win.mu(k)
@@ -142,6 +144,64 @@ def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
     monkeypatch.setattr(win, "derivative_columns", flipped)
     with pytest.raises(WellDefinednessViolation):
         SubquotientState(win)
+
+
+@pytest.mark.parametrize(
+    "text, variables, k_max",
+    [
+        ("x^2*y^2 + z^4 + w^4", support.VARS4, 17),
+        ("x*y*z + x*y*w + x*z*w + y*z*w", support.VARS4, 12),
+        ("x^5 + y^5 + x^2*y^2*z", support.VARS3, None),
+    ],
+)
+def test_tower_window_reads_its_ranks_from_stage_one(monkeypatch, text, variables, k_max):
+    """On the tower window stage 1 records every (n-1, m) and (n-2, m) rank
+    exactly, before the assumption scan reads them: the scan eliminates
+    only (n-3, m) blocks modulo p0*p1, the window builds no ModularSpan,
+    and nothing is promoted to an exact rank afterwards."""
+    eliminated, spans, promoted = [], [], []
+    real_rank, real_span, real_promote = koszul.rank_mod, ModularSpan.__init__, KoszulWindow.promote_exact
+
+    def rank(columns, nrows, p):
+        eliminated.append(columns)
+        return real_rank(columns, nrows, p)
+
+    def span(self, columns, p):
+        spans.append(columns)
+        real_span(self, columns, p)
+
+    def promote(self, j, m):
+        promoted.append((j, m))
+        real_promote(self, j, m)
+
+    monkeypatch.setattr(koszul, "rank_mod", rank)
+    monkeypatch.setattr(ModularSpan, "__init__", span)
+    monkeypatch.setattr(KoszulWindow, "promote_exact", promote)
+    win = KoszulWindow(support.poly(text, variables), k_max=k_max)
+    pole_spectrum(win)
+    n, d, K = win.n, win.d, win.k_max
+    assert spans == [] and promoted == []
+    assert eliminated and all(
+        any(c is win.wedge_columns(n - 3, m) for m in range(K + 1)) for c in eliminated
+    )
+    ref = KoszulWindow(win.f, k_max=k_max)
+    ref.force_exact()
+    stage_one = {(j, k - (n - j) * d) for k in range(K + 1) for j in (n - 1, n - 2)}
+    cached = {key for key in win._rank if key[0] >= n - 2}
+    assert cached == {(j, m) for j, m in stage_one if m >= j}
+    assert {key: win._rank[key] for key in cached} == {key: ref.rank_wedge(*key) for key in cached}
+
+
+@pytest.mark.parametrize("text, variables", [("x^2", support.VARS3), ("x^3 + y^3", support.VARS4)])
+def test_tower_refuses_a_failing_input_after_stage_one(text, variables):
+    """Stage 1 runs before the assumption scan, yet an input the scan
+    refutes still ends in AssumptionFailure, with the evidence the table's
+    own scan finds, and not in an error from stage 1."""
+    f = support.poly(text, variables)
+    with pytest.raises(AssumptionFailure) as err:
+        pole_spectrum(KoszulWindow(f))
+    assert not err.value.evidence.passed
+    assert err.value.evidence == assumption_evidence(KoszulWindow(f))
 
 
 def _d1_rank(win, k):
