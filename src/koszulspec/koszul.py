@@ -101,7 +101,8 @@ class KoszulWindow:
     as it pushes a basis of M_k up one degree at a time (exact: one
     IntEchelon per degree), so each block is eliminated once per table.
     record_exact_rank caches a rank found exactly elsewhere; on the tower
-    window stage 1 records every (n-1, m) and (n-2, m) rank (no span).
+    window stage 1 records every (n-1, m) and (n-2, m) rank (no span), and
+    promote_exact leaves such a rank alone.
     The monomial lists and offset maps the columns are built from are
     cached on the window too, never module-wide, so every window starts
     from the same cold state.
@@ -132,6 +133,7 @@ class KoszulWindow:
         self._wedge_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._deriv_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._rank: dict[tuple[int, int], int] = {}
+        self._exact: set[tuple[int, int]] = set()  # cached ranks known exact
         self._image_spans: dict[int, ModularSpan | None] = {}
         self._image_echelons: dict[int, IntEchelon] = {}
         self._exact_ranks = False
@@ -287,15 +289,18 @@ class KoszulWindow:
             self._rank[key] = rank_exact_rows(self.wedge_columns(*key))
 
     def promote_exact(self, j: int, m: int) -> None:
-        """Replace one cached rank by its exact value.  Called when a
+        """Replace one cached rank by its exact value, unless it is exact
+        already: forced, recorded or promoted before.  Called when a
         downstream identity fails, before trusting the failure."""
-        if 0 <= j <= self.n - 1 and m >= j:
-            self._rank[(j, m)] = rank_exact_rows(self.wedge_columns(j, m))
+        exact = (j, m) in self._exact or self._exact_ranks and (j, m) in self._rank
+        if not exact and 0 <= j <= self.n - 1 and m >= j:
+            self.record_exact_rank(j, m, rank_exact_rows(self.wedge_columns(j, m)))
 
     def record_exact_rank(self, j: int, m: int, r: int) -> None:
         """Cache a rank of df wedge out of (j, m) found by exact elimination."""
         if 0 <= j <= self.n - 1 and m >= j:
             self._rank[(j, m)] = r
+            self._exact.add((j, m))
 
     def _image_span(self, k: int) -> ModularSpan | None:
         """Span modulo p0*p1 of the df wedge image in M_k, built once; None,

@@ -3,30 +3,29 @@ ranks as the fast path.
 
 Vectors are sparse dicts {index: int}; a matrix is a list of its columns.
 Rational data enters only through `vec_from_fractions`, which clears
-denominators.  Exact elimination works on integer rows with
-cross-multiplication and content stripping, so no Fractions appear in inner
-loops.  Pivot rows are taken in Markowitz order (fewest entries first) from
-a heap, with a column-to-rows index for the rows each pivot touches.
-Kernels and solutions are read off a fraction-free back-reduction of the
-pivot rows: kernels as primitive sparse integer vectors, solutions as an
-integer vector with a common denominator.
+denominators.
 
-Ranks go through reduction modulo two fixed word-size primes p0, p1 first,
-in one elimination modulo their product N = p0*p1 (below); the exact path
-is run when that elimination meets a zero divisor or when an exact result
-is requested.  The modular path is the same sparse engine over Z/m, m a
-prime or N: the columns are eliminated as dict rows reduced
-mod m, each pivot row scaled to 1 at its pivot index, so a step costs only
-the entries it touches.
-`ModularSpan` keeps its pivot rows in elimination order and reduces a new
-vector only by the pivots it hits.
+One sparse elimination engine, `_eliminate`, serves both arithmetics.
+Pivot rows are taken in Markowitz order (fewest entries first) from a heap,
+with a column-to-rows index for the rows each pivot touches, and a row is
+updated in place at the pivot row's entries.  Only the pivot step and the
+tie-breaks depend on the arithmetic.  Over the integers, rows are combined
+by cross-multiplication with their content stripped, so no Fractions
+appear in inner loops, and ties go to the smaller coefficient bit length.
+Modulo m, a prime or N (below), each pivot row is scaled to 1 at its pivot
+index, and ties go to the smaller index.  Kernels and solutions are read
+off a fraction-free back-reduction of the exact pivot rows; `ModularSpan`
+keeps its pivot rows in elimination order and reduces a new vector only by
+the pivots it hits.
 
-One elimination modulo N = p0*p1 stands for both primes.  Z/N is Z/p0 x
-Z/p1, so while every pivot is a unit mod N the elimination mod N is the
-elimination mod p0 and mod p1 at once, with the same pivots: its rank is
-the rank mod each prime, and the two agree.  A pivot that is not a unit
-mod N (divisible by exactly one of the primes) raises `ZeroDivisorError`;
-the caller then falls back to exact elimination.
+Ranks are taken modulo two fixed word-size primes p0, p1 first, in one
+elimination modulo their product N = p0*p1; the exact path runs when that
+elimination meets a zero divisor or when an exact result is requested.
+Z/N is Z/p0 x Z/p1, so while every pivot is a unit mod N the elimination
+mod N is the elimination mod p0 and mod p1 at once, with the same pivots:
+its rank is the rank mod each prime, and the two agree.  A pivot that is
+not a unit mod N (divisible by exactly one prime) raises
+`ZeroDivisorError`; the caller then falls back to exact elimination.
 """
 
 from __future__ import annotations
@@ -107,82 +106,118 @@ def _rows_of(columns) -> dict[int, SparseVec]:
     return rows
 
 
-# -- exact elimination -------------------------------------------------------
+# -- sparse elimination -------------------------------------------------------
 
 
-def _pivot_key(row: SparseVec, idx: int) -> tuple[int, int, int]:
-    """Markowitz-style pivot row order: fewest entries, then smallest
-    coefficient bit length, then index, for deterministic sparse elimination."""
+class ZeroDivisorError(ArithmeticError):
+    """A modular elimination met a pivot that is not a unit modulo a
+    composite modulus; its rank says nothing about either prime."""
+
+
+def _pivot_key(row: SparseVec, idx: int, p: int) -> tuple[int, ...]:
+    """Markowitz-style pivot row order: fewest entries, then over the
+    integers (p = 0) smallest coefficient bit length, then index."""
+    if p:
+        return (len(row), idx)
     return (len(row), min(abs(v).bit_length() for v in row.values()), idx)
 
 
-def _pick_pivot_col(row: SparseVec, col_rows: dict[int, set[int]]) -> int:
+def _pick_pivot_col(row: SparseVec, col_rows: dict[int, set[int]], p: int) -> int:
     """Column within `row` minimizing fill: fewest uses among active rows,
-    then smallest coefficient, then smallest index."""
+    then over the integers smallest coefficient, then smallest index."""
+    if p:
+        return min(row, key=lambda c: (len(col_rows[c]), c))
     return min(row, key=lambda c: (len(col_rows[c]), abs(row[c]).bit_length(), c))
 
 
 def _eliminate(
     rows: list[SparseVec],
+    p: int = 0,
     rhs: list[SparseVec] | None = None,
 ) -> tuple[list[tuple[int, int]], list[SparseVec], list[SparseVec] | None]:
-    """Forward sparse elimination over the integers.
+    """Forward sparse elimination of `rows` over the integers (p = 0) or
+    modulo p, a prime or `PRIME_PRODUCT`; the input is not modified.
 
-    Returns (pivots, rows, rhs) where pivots is a list of (column, row index)
-    in elimination order.  Rows are modified in place; rhs entries (parallel
-    per-row dicts over a separate column namespace) receive the same row
-    operations, so [A | rhs] stays row-equivalent to the input.
+    Returns (pivots, rows, rhs): the pivots as (column, row index) in
+    elimination order, and the eliminated copies of the rows, where a pivot
+    row holds no earlier pivot column and every other row ends empty.  The
+    rhs rows (over a separate column namespace) get the same integer row
+    operations, so [A | rhs] stays row-equivalent to the input.  Modulo p
+    each pivot row is scaled to 1 at its pivot column; modulo
+    `PRIME_PRODUCT` a pivot divisible by one prime raises `ZeroDivisorError`.
 
     Active rows wait in a heap keyed by `_pivot_key`; an entry whose key no
     longer matches its row's current key is stale and skipped.  `col_rows`
     maps each column to the active rows that contain it.
     """
-    work = [dict(r) for r in rows]
+    if p:
+        work = [{c: y for c, x in r.items() if (y := x % p)} for r in rows]
+    else:
+        work = [dict(r) for r in rows]
     side = [dict(r) for r in rhs] if rhs is not None else None
-    active = {i: work[i] for i in range(len(work)) if work[i]}
     col_rows: dict[int, set[int]] = {}
-    for i, row in active.items():
+    for i, row in enumerate(work):
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    keys = {i: _pivot_key(row, i) for i, row in active.items()}
+    keys = {i: _pivot_key(row, i, p) for i, row in enumerate(work) if row}
     heap = list(keys.values())
     heapq.heapify(heap)
     pivots: list[tuple[int, int]] = []
     while heap:
         key = heapq.heappop(heap)
-        i = key[2]
+        i = key[-1]
         if keys.get(i) != key:
             continue
         del keys[i]
-        row = active.pop(i)
-        for cc in row:
-            col_rows[cc].discard(i)
-        c = _pick_pivot_col(row, col_rows)
+        row = work[i]
+        for c in row:
+            col_rows[c].discard(i)
+        c = _pick_pivot_col(row, col_rows, p)
+        if p:
+            try:
+                inv = pow(row[c], -1, p)
+            except ValueError:
+                raise ZeroDivisorError(f"pivot {row[c]} is not a unit modulo {p}") from None
+            if inv != 1:
+                for cc in row:
+                    row[cc] = row[cc] * inv % p
         pivots.append((c, i))
-        p = row[c]
-        for j in list(col_rows[c]):
-            other = active[j]
-            a = other[c]
-            for cc in other:
-                col_rows[cc].discard(j)
-            g = gcd(p, a)
-            mp, ma = p // g, a // g
-            new = _cross(mp, other, ma, row)
-            if side is not None:
-                new, side[j] = strip_joint_content(new, _cross(mp, side[j], ma, side[i]))
-            else:
-                new, _ = _strip_content(new)
-            work[j] = new
-            if new:
-                active[j] = new
-                for cc in new:
+        piv = row[c]
+        rest = [(cc, x) for cc, x in row.items() if cc != c]
+        for j in col_rows.pop(c):
+            other = work[j]
+            a = other.pop(c)
+            if not p:
+                g = gcd(piv, a)
+                mp, a = piv // g, a // g
+                if mp != 1:
+                    for cc in other:
+                        other[cc] *= mp
+                if side is not None:
+                    side[j] = _cross(mp, side[j], a, side[i])
+            for cc, x in rest:
+                y = other.get(cc)
+                if y is None:
+                    other[cc] = -a * x % p if p else -a * x
                     col_rows[cc].add(j)
-                keys[j] = _pivot_key(new, j)
+                else:
+                    y = (y - a * x) % p if p else y - a * x
+                    if y:
+                        other[cc] = y
+                    else:
+                        del other[cc]
+                        col_rows[cc].discard(j)
+            if not p:
+                if side is None:
+                    other, _ = _strip_content(other)
+                else:
+                    other, side[j] = strip_joint_content(other, side[j])
+                work[j] = other
+            if other:
+                keys[j] = _pivot_key(other, j, p)
                 heapq.heappush(heap, keys[j])
             else:
-                del active[j]
                 del keys[j]
-        work[i] = row
     return pivots, work, side
 
 
@@ -297,7 +332,7 @@ def solve_into(
             rhs.setdefault(r, {})[t] = v
     order = list(rows)
     pivots, reduced, side = _eliminate(
-        [rows[r] for r in order], [rhs.get(r, {}) for r in order]
+        [rows[r] for r in order], rhs=[rhs.get(r, {}) for r in order]
     )
     _back_reduce(pivots, reduced, side)
     pivot_rows = {i for _, i in pivots}
@@ -413,85 +448,12 @@ def combo_kernel(
 # -- modular ranks ------------------------------------------------------------
 
 
-class ZeroDivisorError(ArithmeticError):
-    """A modular elimination met a pivot that is not a unit modulo a
-    composite modulus; its rank says nothing about either prime."""
-
-
-def _eliminate_mod(vectors: list[SparseVec], p: int) -> list[tuple[int, SparseVec]]:
-    """Forward sparse elimination of `vectors` modulo p, a prime or
-    `PRIME_PRODUCT`.
-
-    Returns the pivots in elimination order as (pivot index, row), each row
-    reduced mod p and scaled to 1 at its pivot index; a row holds no entry
-    at the pivot index of any earlier pivot.  The input is not modified.
-    Modulo `PRIME_PRODUCT` the pivots count the rank modulo both primes,
-    which then agree; a pivot divisible by one of them raises
-    `ZeroDivisorError` instead.
-
-    Same engine as `_eliminate`: active rows wait in a heap keyed by
-    (number of entries, row index), an entry whose count no longer matches
-    its row is stale, and `col_rows` maps each index to the active rows
-    containing it.  The pivot index is the row's entry used by the fewest
-    active rows.  Rows are updated in place by the pivot row's entries only.
-    """
-    active: dict[int, SparseVec] = {}
-    for i, vec in enumerate(vectors):
-        row = {c: y for c, x in vec.items() if (y := x % p)}
-        if row:
-            active[i] = row
-    col_rows: dict[int, set[int]] = {}
-    for i, row in active.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    heap = [(len(row), i) for i, row in active.items()]
-    heapq.heapify(heap)
-    pivots: list[tuple[int, SparseVec]] = []
-    while heap:
-        n, i = heapq.heappop(heap)
-        row = active.get(i)
-        if row is None or len(row) != n:
-            continue
-        del active[i]
-        for c in row:
-            col_rows[c].discard(i)
-        c = min(row, key=lambda cc: (len(col_rows[cc]), cc))
-        try:
-            inv = pow(row[c], -1, p)
-        except ValueError:
-            raise ZeroDivisorError(f"pivot {row[c]} is not a unit modulo {p}") from None
-        if inv != 1:
-            row = {cc: x * inv % p for cc, x in row.items()}
-        pivots.append((c, row))
-        rest = [(cc, x) for cc, x in row.items() if cc != c]
-        for j in col_rows.pop(c):
-            other = active[j]
-            a = other.pop(c)
-            for cc, x in rest:
-                y = other.get(cc)
-                if y is None:
-                    other[cc] = -a * x % p
-                    col_rows[cc].add(j)
-                else:
-                    y = (y - a * x) % p
-                    if y:
-                        other[cc] = y
-                    else:
-                        del other[cc]
-                        col_rows[cc].discard(j)
-            if other:
-                heapq.heappush(heap, (len(other), j))
-            else:
-                del active[j]
-    return pivots
-
-
 def rank_mod(columns: list[SparseVec], nrows: int, p: int) -> int:
     """Rank modulo p of the matrix with the given columns and `nrows` rows
     (the sparse elimination needs only the columns).  Modulo
     `PRIME_PRODUCT` it is the rank modulo both primes, or raises
     `ZeroDivisorError`."""
-    return len(_eliminate_mod(columns, p))
+    return len(_eliminate(columns, p)[0])
 
 
 class ModularSpan:
@@ -506,7 +468,8 @@ class ModularSpan:
 
     def __init__(self, columns: list[SparseVec], p: int):
         self.p = p
-        self.pivots = _eliminate_mod(columns, p)
+        pivots, rows, _ = _eliminate(columns, p)
+        self.pivots = [(c, rows[i]) for c, i in pivots]
         self.step = {c: k for k, (c, _) in enumerate(self.pivots)}
 
     @property
@@ -544,4 +507,4 @@ class ModularSpan:
 
     def added_rank(self, columns: list[SparseVec]) -> int:
         """rank([A | columns]) - rank(A) modulo p, A being the span."""
-        return len(_eliminate_mod([self.reduce(v) for v in columns], self.p))
+        return len(_eliminate([self.reduce(v) for v in columns], self.p)[0])

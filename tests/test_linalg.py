@@ -13,6 +13,7 @@ from koszulspec.linalg import (
     ZeroDivisorError,
     combo_kernel,
     kernel_int_columns,
+    pivot_columns,
     rank_exact_rows,
     rank_mod,
     solve_into,
@@ -149,7 +150,7 @@ def test_solve_into_fractional_columns():
 def test_solve_into_property():
     """Several targets per system, entries up to p0*p1, some targets
     reachable only modulo the extra columns: A x - den * b lies in their
-    span exactly, and unreachable targets give None."""
+    span exactly, and unreachable targets give None.  Inputs untouched."""
     rng = random.Random(20261019)
     p0p1 = DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]
 
@@ -187,7 +188,9 @@ def test_solve_into_property():
         span.add_many(cols + extra)
         w = IntEchelon()
         w.add_many(extra)
+        frozen = [[dict(v) for v in vs] for vs in (cols, extra, targets)]
         sols = solve_into(cols, targets, extra)
+        assert [cols, extra, targets] == frozen
         assert len(sols) == len(targets)
         for b, sol in zip(targets, sols):
             if sol is None:
@@ -278,14 +281,17 @@ def _random_low_rank_columns(rng, nrows, ncols, rank, big):
 def test_kernel_int_columns_property():
     """Exact annihilation, full dimension, primitive vectors with a
     positive leading entry, on random rank-deficient integer matrices; each
-    vector is keyed by its free column, where the basis is diagonal."""
+    vector is keyed by its free column, where the basis is diagonal.
+    Input untouched."""
     rng = random.Random(20261018)
     for trial in range(120):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
         cols = _random_low_rank_columns(
             rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), big=trial % 3 == 0
         )
+        frozen = [dict(c) for c in cols]
         ker = kernel_int_columns(cols)
+        assert cols == frozen
         assert isinstance(ker, dict)
         assert len(ker) == ncols - rank_exact_rows(cols)
         assert list(ker) == sorted(ker)
@@ -327,6 +333,36 @@ def test_kernel_int_columns_frozen_basis():
         5: {1: 5, 2: -2, 5: -1, 6: -5},
         7: {1: 12, 2: -1, 6: -11, 7: -2},
     }
+
+
+def test_pivot_orders_frozen():
+    """Both pivot orders on one fixed matrix whose last row is the sum of
+    rows 0 and 3: the exact map (pivot column -> row, in elimination order,
+    bit-length tie-breaks) and the modular pivots (index and row scaled to 1
+    modulo p0*p1, entries in order), which tie-break by index alone.  Rows 1
+    and 5 have three entries each, and only row 5 holds a 1.  Input
+    untouched."""
+    A = [
+        [2, 0, 5, 0, 1, 0, 3, 0],
+        [0, 4, 0, 2, 0, 12, 0, 0],
+        [1, 1, 0, 0, 2, 0, 0, 7],
+        [0, 0, 3, 2, 0, 0, 1, 1],
+        [6, 0, 0, 1, 0, 3, 0, 2],
+        [0, 9, 2, 0, 1, 0, 0, 0],
+        [2, 0, 8, 2, 1, 0, 4, 1],
+    ]
+    vecs = [{c: v for c, v in enumerate(row) if v} for row in A]
+    assert list(pivot_columns(vecs).items()) == [(1, 5), (6, 0), (5, 4), (2, 2), (3, 1), (4, 3)]
+    pivots = ModularSpan(vecs, PRIME_PRODUCT).pivots
+    assert [(c, list(row.items())) for c, row in pivots] == [
+        (5, [(1, 3074457316985143309), (3, 3843071646231429136), (5, 1)]),
+        (1, [(1, 1), (2, 3586866869816000527), (4, 4099276422646857745)]),
+        (6, [(0, 1537228658492571655), (2, 1537228658492571656), (4, 3074457316985143309), (6, 1)]),
+        (0, [(0, 1), (4, 512409552830857220), (7, 7), (2, 1024819105661714436)]),
+        (2, [(2, 1), (3, 2017612614271500298), (7, 4179340415276679190), (4, 4179340415276679186)]),
+        (3, [(3, 1), (7, 3390945570204202201), (4, 135637822808168093)]),
+    ]
+    assert vecs == [{c: v for c, v in enumerate(row) if v} for row in A]
 
 
 def test_reduce_full_scale_property():
