@@ -98,8 +98,8 @@ class KoszulWindow:
     For n <= k <= n*d the (n-1, k-d) block, the df wedge image in M_k, is
     eliminated once modulo p0*p1 and kept as a span (an empty block gets
     none): rank_wedge reads its rank from it, and free_ranks reduces by it
-    as it pushes a basis of M_k up one degree at a time (exact: one
-    IntEchelon per degree), so each block is eliminated once per table.
+    as it pushes a basis of M_k up one degree at a time (exact: the same
+    block over Q), so each block is eliminated once per table and modulus.
     record_exact_rank caches a rank found exactly elsewhere; on the tower
     window stage 1 records every (n-1, m) and (n-2, m) rank (no span), and
     promote_exact leaves such a rank alone.
@@ -134,8 +134,7 @@ class KoszulWindow:
         self._deriv_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._rank: dict[tuple[int, int], int] = {}
         self._exact: set[tuple[int, int]] = set()  # cached ranks known exact
-        self._image_spans: dict[int, ModularSpan | None] = {}
-        self._image_echelons: dict[int, IntEchelon] = {}
+        self._image_spans: dict[tuple[int, int], IntEchelon | ModularSpan | None] = {}
         self._exact_ranks = False
         self._gamma = gamma_series(self.n, self.d, self.k_max)
         # the pole order tower's result, cached by polespec._run_tower
@@ -273,10 +272,11 @@ class KoszulWindow:
     def _modular_rank(self, j: int, m: int, cols: list[SparseVec]) -> int:
         """Rank of df wedge out of (j, m) by one elimination modulo p0*p1,
         exact on a zero divisor.  A block whose image lies in M_k, n <= k <=
-        n*d, is eliminated as the span the torsion/free split reduces by."""
+        n*d, is eliminated as the span the torsion/free split reduces by,
+        over Q when modulo p0*p1 it met a zero divisor."""
         if j == self.n - 1 and m + self.d <= self.n * self.d:
-            span = self._image_span(m + self.d)
-            return rank_exact_rows(cols) if span is None else span.rank
+            span = self._image_span(m + self.d, PRIME_PRODUCT)
+            return (span if span is not None else self._image_span(m + self.d, 0)).rank
         try:
             return rank_mod(cols, self.dim(j + 1, m + self.d), PRIME_PRODUCT)
         except ZeroDivisorError:
@@ -302,37 +302,35 @@ class KoszulWindow:
             self._rank[(j, m)] = r
             self._exact.add((j, m))
 
-    def _image_span(self, k: int) -> ModularSpan | None:
-        """Span modulo p0*p1 of the df wedge image in M_k, built once; None,
-        also kept, when its elimination met a zero divisor."""
-        if k not in self._image_spans:
+    def _image_span(self, k: int, p: int) -> IntEchelon | ModularSpan | None:
+        """Span of the df wedge image in M_k modulo p, or over Q for p = 0,
+        built once; None, also kept, when it met a zero divisor."""
+        key = (k, p)
+        if key not in self._image_spans:
+            cols = self.wedge_columns(self.n - 1, k - self.d)
             try:
-                span = ModularSpan(self.wedge_columns(self.n - 1, k - self.d), PRIME_PRODUCT)
+                self._image_spans[key] = ModularSpan(cols, p) if p else IntEchelon(cols)
             except ZeroDivisorError:
-                span = None
-            self._image_spans[k] = span
-        return self._image_spans[k]
+                self._image_spans[key] = None
+        return self._image_spans[key]
 
     def _quotient(self, k: int, p: int):
         """M_k as (free monomial positions, map of an n-form onto its class
-        on them), modulo p by the kept span, or for p = 0 over Q by an
-        IntEchelon; below degree n - 1 + d the image is 0."""
+        on them) by the kept span, modulo p or over Q for p = 0; below
+        degree n - 1 + d the image is 0."""
         dim = self.dim(self.n, k)
         if k - self.d < self.n - 1:
             return range(dim), lambda v: v
+        span = self._image_span(k, p)
+        if span is None:
+            raise ZeroDivisorError(f"the image in degree {k} met a zero divisor")
+        free = [i for i in range(dim) if i not in span.step]
         if p:
-            span = self._image_span(k)
-            if span is None:
-                raise ZeroDivisorError(f"the image in degree {k} met a zero divisor")
-            return [i for i in range(dim) if i not in span.step], span.reduce
-        ech = self._image_echelons.get(k)
-        if ech is None:
-            ech = self._image_echelons[k] = IntEchelon()
-            ech.add_many(self.wedge_columns(self.n - 1, k - self.d))
+            return free, span.reduce
         def exact(v: SparseVec) -> SparseVec:
-            res, scale = ech.reduce_full(v)
+            res, scale = span.reduce_full(v)
             return {c: x / scale for c, x in res.items()}
-        return [i for i in range(dim) if i not in ech.rows], exact
+        return free, exact
 
     def free_ranks(self, y: HomogeneousPoly) -> dict[int, int]:
         """Rank of y^(n*d - k) from M_k into M_{n*d}, n <= k <= n*d - n, as
@@ -368,7 +366,7 @@ class KoszulWindow:
             img, reduce = nxt, below
             if k <= nd - n:
                 vecs = [v if p else vec_from_fractions(v)[0] for v in img.values()]
-                ranks[k] = self._image_span(nd).added_rank(vecs) if p else rank_exact_rows(vecs)
+                ranks[k] = self._image_span(nd, p).added_rank(vecs)
         return ranks
 
     # -- graded invariants -------------------------------------------------------

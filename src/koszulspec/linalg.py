@@ -5,18 +5,19 @@ Vectors are sparse dicts {index: int}; a matrix is a list of its columns.
 Rational data enters only through `vec_from_fractions`, which clears
 denominators.
 
-One sparse elimination engine, `_eliminate`, serves both arithmetics.
-Pivot rows are taken in Markowitz order (fewest entries first) from a heap,
-with a column-to-rows index for the rows each pivot touches, and a row is
-updated in place at the pivot row's entries.  Only the pivot step and the
-tie-breaks depend on the arithmetic.  Over the integers, rows are combined
-by cross-multiplication with their content stripped, so no Fractions
-appear in inner loops, and ties go to the smaller coefficient bit length.
-Modulo m, a prime or N (below), each pivot row is scaled to 1 at its pivot
-index, and ties go to the smaller index.  Kernels and solutions are read
-off a fraction-free back-reduction of the exact pivot rows; `ModularSpan`
-keeps its pivot rows in elimination order and reduces a new vector only by
-the pivots it hits.
+One sparse elimination engine, `_eliminate`, and one span, `_Span`, serve
+both arithmetics; only the pivot step and the tie-breaks depend on it.
+The engine takes pivot rows in Markowitz order (fewest entries first) from
+a heap, with a column-to-rows index for the rows each pivot touches, and
+updates a row in place at the pivot row's entries.  Over the integers,
+rows are combined by cross-multiplication with their content stripped, so
+no Fractions appear in inner loops, and ties go to the smaller coefficient
+bit length.  Modulo m, a prime or N (below), each pivot row is scaled to 1
+at its pivot index, and ties go to the smaller index.  Kernels and
+solutions are read off a fraction-free back-reduction of the exact pivot
+rows.  A span, exact (`IntEchelon`) or modulo m (`ModularSpan`), keeps its
+pivot rows in the order they were added and reduces a vector only by the
+pivots it hits.
 
 Ranks are taken modulo two fixed word-size primes p0, p1 first, in one
 elimination modulo their product N = p0*p1; the exact path runs when that
@@ -198,8 +199,10 @@ def _eliminate(
             for cc, x in rest:
                 y = other.get(cc)
                 if y is None:
-                    other[cc] = -a * x % p if p else -a * x
-                    col_rows[cc].add(j)
+                    y = -a * x % p if p else -a * x
+                    if y:
+                        other[cc] = y
+                        col_rows[cc].add(j)
                 else:
                     y = (y - a * x) % p if p else y - a * x
                     if y:
@@ -352,56 +355,101 @@ def solve_into(
     return out
 
 
-# -- incremental exact echelon ------------------------------------------------
+# -- spans --------------------------------------------------------------------
 
 
-class IntEchelon:
-    """Incremental row echelon over Q held as integer rows.
+class _Span:
+    """Span of integer vectors over Q (p = 0) or modulo p, as pivot rows in
+    the order they were added, `step` mapping each pivot index to its place.
+    No row holds an earlier row's pivot index, so a reduction takes the
+    pivots it hits from a heap in step order, each at most once."""
 
-    Each stored row's minimum column is its pivot and pivots are unique, so
-    full reduction of a vector (ascending pivot sweep) is linear and leaves a
-    residual supported on free columns only.
-    """
+    __slots__ = ("p", "pivots", "step")
 
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict[int, SparseVec] = {}
+    def __init__(self, columns: list[SparseVec], p: int):
+        self.p = p
+        pivots, rows, _ = _eliminate(columns, p)
+        self.pivots = [(c, rows[i]) for c, i in pivots]
+        self.step = {c: k for k, (c, _) in enumerate(self.pivots)}
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, vec: SparseVec) -> tuple[SparseVec, int, int]:
+        """(residual, num, den): num/den * vec minus a combination of pivot
+        rows, with no entry at any pivot index.  Over the integers num is the
+        product of the positive cross-multipliers of vec and den the content
+        stripped once a pivot was hit; modulo p (rows scaled to 1) both are 1."""
+        p, step, pivots = self.p, self.step, self.pivots
+        if p:
+            v = {c: y for c, x in vec.items() if (y := x % p)}
+        else:
+            v = {c: x for c, x in vec.items() if x}
+        num = den = 1
+        hits = [step[c] for c in v if c in step]
+        strip = not p and bool(hits)
+        heapq.heapify(hits)
+        while hits:
+            c, row = pivots[heapq.heappop(hits)]
+            a = v.pop(c, 0)
+            if not a:
+                continue
+            if not p:
+                piv = row[c]
+                g = gcd(piv, a)
+                mp, a = piv // g, a // g
+                if mp < 0:
+                    mp, a = -mp, -a
+                if mp != 1:
+                    for cc in v:
+                        v[cc] *= mp
+                    num *= mp
+            for cc, x in row.items():
+                if cc == c:
+                    continue
+                y = v.get(cc)
+                if y is None:
+                    y = -a * x % p if p else -a * x
+                    if y:
+                        v[cc] = y
+                        if cc in step:
+                            heapq.heappush(hits, step[cc])
+                else:
+                    y = (y - a * x) % p if p else y - a * x
+                    if y:
+                        v[cc] = y
+                    else:
+                        del v[cc]
+        if strip:
+            v, den = _strip_content(v)
+        return v, num, den
+
+    def reduce(self, vec: SparseVec) -> SparseVec:
+        """vec (mod p) minus its combination of pivot rows, up to a positive
+        multiple over Q: the residual has no entry at any pivot index."""
+        return self._reduce(vec)[0]
+
+    def added_rank(self, columns: list[SparseVec]) -> int:
+        """rank([A | columns]) - rank(A), A being the span."""
+        return len(_eliminate([self.reduce(v) for v in columns], self.p)[0])
+
+
+class IntEchelon(_Span):
+    """Exact span over Q held as integer rows, built from columns (whose
+    pivots may be negative) or empty, and grown by `add`: an added row is
+    the residual of its vector, with its minimum index as pivot."""
+
+    __slots__ = ()
+
+    def __init__(self, columns: list[SparseVec] = ()):
+        super().__init__(columns, 0)
 
     def reduce_full(self, vec: SparseVec) -> tuple[SparseVec, Fraction]:
         """Return (residual, scale): residual = scale * vec - (row combo),
-        scale > 0, residual has no entry in any pivot column.
-
-        The scale is kept as two integers while reducing, the product of
-        the positive multipliers of vec and the product of the contents
-        stripped from it, and becomes one Fraction on return."""
-        v = {c: x for c, x in vec.items() if x}
-        num = den = 1
-        if not v:
-            return v, Fraction(1)
-        hits = sorted(c for c in v if c in self.rows)
-        while hits:
-            for c in hits:
-                a = v.get(c)
-                if not a:
-                    continue
-                row = self.rows[c]
-                p = row[c]
-                g = gcd(p, a)
-                mp, ma = p // g, a // g
-                if mp < 0:
-                    mp, ma = -mp, -ma
-                v = _cross(mp, v, ma, row)
-                num *= mp
-            if not v:
-                break
-            v, content = _strip_content(v)
-            den *= content
-            hits = sorted(c for c in v if c in self.rows)
+        scale > 0, residual has no entry at any pivot index.  The scale is
+        kept as two integers while reducing, one Fraction on return."""
+        v, num, den = self._reduce(vec)
         return v, Fraction(num, den)
 
     def add(self, vec: SparseVec) -> bool:
@@ -410,9 +458,8 @@ class IntEchelon:
         if not res:
             return False
         lead = min(res)
-        if res[lead] < 0:
-            res = {c: -x for c, x in res.items()}
-        self.rows[lead] = res
+        self.step[lead] = len(self.pivots)
+        self.pivots.append((lead, res))
         return True
 
     def add_many(self, vectors) -> int:
@@ -456,55 +503,9 @@ def rank_mod(columns: list[SparseVec], nrows: int, p: int) -> int:
     return len(_eliminate(columns, p)[0])
 
 
-class ModularSpan:
-    """Span of integer vectors modulo a fixed prime or `PRIME_PRODUCT`,
-    supporting incremental added-rank queries.  Used for rank computations
-    of stacked matrices [A | B] - rank(A) without re-eliminating A.  The
-    pivots are kept in elimination order, `step` maps each pivot index to
-    its place there.  Modulo `PRIME_PRODUCT` both the build and
-    `added_rank` may raise `ZeroDivisorError`."""
+class ModularSpan(_Span):
+    """Span modulo a fixed prime or `PRIME_PRODUCT`, for added ranks of
+    stacked matrices [A | B] - rank(A) without re-eliminating A.  Modulo
+    `PRIME_PRODUCT` the build and `added_rank` may raise `ZeroDivisorError`."""
 
-    __slots__ = ("p", "pivots", "step")
-
-    def __init__(self, columns: list[SparseVec], p: int):
-        self.p = p
-        pivots, rows, _ = _eliminate(columns, p)
-        self.pivots = [(c, rows[i]) for c, i in pivots]
-        self.step = {c: k for k, (c, _) in enumerate(self.pivots)}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        """vec mod p minus its combination of pivot rows: the residual has no
-        entry at any pivot index.  The pivots it hits are taken in
-        elimination order; a pivot row only brings in later pivot indices."""
-        p, step, pivots = self.p, self.step, self.pivots
-        v = {c: y for c, x in vec.items() if (y := x % p)}
-        hits = [step[c] for c in v if c in step]
-        heapq.heapify(hits)
-        while hits:
-            c, row = pivots[heapq.heappop(hits)]
-            a = v.pop(c, 0)
-            if not a:
-                continue
-            for cc, x in row.items():
-                if cc == c:
-                    continue
-                y = v.get(cc)
-                if y is None:
-                    v[cc] = -a * x % p
-                    if cc in step:
-                        heapq.heappush(hits, step[cc])
-                else:
-                    y = (y - a * x) % p
-                    if y:
-                        v[cc] = y
-                    else:
-                        del v[cc]
-        return v
-
-    def added_rank(self, columns: list[SparseVec]) -> int:
-        """rank([A | columns]) - rank(A) modulo p, A being the span."""
-        return len(_eliminate([self.reduce(v) for v in columns], self.p)[0])
+    __slots__ = ()

@@ -119,10 +119,10 @@ class SubquotientState:
             rel.add_many(col for i, col in enumerate(cols) if i not in cyc)
             self.rel[k] = rel
             self.wlift[k] = []
-            if rel.dim != len(cols) - len(cyc):
+            if rel.rank != len(cols) - len(cyc):
                 raise RuntimeError(f"rank disagreement at degree {k}")
             # the assumption scan reads these exact ranks, not eliminating again
-            win.record_exact_rank(n - 1, m, rel.dim)
+            win.record_exact_rank(n - 1, m, rel.rank)
             if not cyc:
                 win.record_exact_rank(n - 2, m - d, 0)  # boundaries are cycles
                 continue
@@ -160,7 +160,7 @@ class SubquotientState:
 
     def _mu_row(self) -> list[int]:
         win = self.win
-        return [win.dim(win.n, k) - self.rel[k].dim for k in range(win.k_max + 1)]
+        return [win.dim(win.n, k) - self.rel[k].rank for k in range(win.k_max + 1)]
 
     def _nu_row(self) -> list[int]:
         return [len(self.gens.get(k, ())) for k in range(self.win.k_max + 1)]
@@ -168,7 +168,7 @@ class SubquotientState:
     # -- dimensions ------------------------------------------------------------
 
     def m_dim(self, k: int) -> int:
-        return self.win.dim(self.win.n, k) - self.rel[k].dim
+        return self.win.dim(self.win.n, k) - self.rel[k].rank
 
     def n_dim(self, k: int) -> int:
         return len(self.gens.get(k, ()))

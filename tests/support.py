@@ -1,8 +1,10 @@
 """Shared builders and corpora.
 
-Windows and tables are cached per input so the expensive objects are built
-once and shared across test modules; the pole-order tower additionally
-caches its own result on the window object.
+Polynomials and tables are cached per input so the expensive objects are
+built once and shared across test modules.  Windows are built fresh on every
+call: a window is mutable (its rank cache takes exact ranks from a tower run
+or force_exact(), and it caches its tower's result), so no test reads what
+another one left in it.
 """
 
 import random
@@ -35,7 +37,6 @@ def poly(text, variables):
     return parse_poly(text, list(variables))
 
 
-@lru_cache(maxsize=None)
 def window(text, variables, k_max=None):
     return KoszulWindow(poly(text, variables), k_max=k_max)
 
@@ -148,7 +149,6 @@ def corpus_table(label, seed=0):
     return build_invariant_table(corpus_poly(label), seed=seed)
 
 
-@lru_cache(maxsize=None)
 def corpus_window(label):
     return KoszulWindow(corpus_poly(label))
 

@@ -337,7 +337,7 @@ def test_split_skips_a_zero_target(monkeypatch):
     monkeypatch.setattr(ModularSpan, "added_rank", added)
     tab = build_invariant_table(support.corpus_poly("xyz"))
     [win] = pushed
-    top = win._image_span(win.n * win.d)
+    top = win._image_span(win.n * win.d, PRIME_PRODUCT)
     assert ranked == [top] * (win.n * win.d - 2 * win.n + 1)
     tables.assert_row(tab.mu_free, tables.XYZ["mu_free"], label="xyz.mu_free")
 
@@ -387,7 +387,8 @@ def test_free_ranks_match_the_y_power_reference(label, rescale):
     assert sorted(got) == list(range(f.n, f.n * f.degree - f.n + 1))
     assert got == support.reference_free_ranks(win, y)
     assert exact.free_ranks(y) == support.reference_free_ranks(exact, y, exact=True) == got
-    assert not win._image_echelons and not exact._image_spans
+    assert {p for _, p in win._image_spans} == {PRIME_PRODUCT}
+    assert {p for _, p in exact._image_spans} == {0}
 
 
 @pytest.mark.parametrize("prime", DEFAULT_PRIMES)
@@ -404,7 +405,7 @@ def test_free_ranks_fall_back_to_exact_on_a_zero_divisor(text, variables, prime)
     win = KoszulWindow(f)
     y = generic_linear_form(f.n, 0)
     got = win.free_ranks(y)
-    assert None in win._image_spans.values() and win._image_echelons
+    assert None in win._image_spans.values() and (win.n * win.d, 0) in win._image_spans
     assert got == support.reference_free_ranks(KoszulWindow(f), y, exact=True)
 
 

@@ -97,7 +97,7 @@ def test_image_contains_columns():
     m = support.random_sparse(rng, 5, 7)
     im = IntEchelon()
     im.add_many(m)
-    assert im.dim == rank_exact_rows(m)
+    assert im.rank == rank_exact_rows(m)
     for col in m:
         # a column scaled by a fraction spans the same line once cleared
         assert im.contains(col)
@@ -111,7 +111,7 @@ def test_subspace_contains_and_sum():
     assert s.contains(vec_from_fractions([F(1, 2), 0, F(1), 0])[0])
     assert not s.contains({0: 1})
     s.add({1: 1})
-    assert s.dim == 2
+    assert s.rank == 2
     assert s.contains({0: 2, 1: 5, 2: 4})
 
 
@@ -248,9 +248,9 @@ def test_combo_kernel_combinations_land_in_span():
     # one residual per independent vector: none carries a pivot column of
     # the span, and together they extend it exactly as the vectors do
     assert len(residuals) == len(vectors) - len(combos) == 1
-    assert not any(c in ech.rows for r in residuals for c in r)
+    assert not any(c in ech.step for r in residuals for c in r)
     with_residuals = IntEchelon()
-    with_residuals.add_many(ech.rows.values())
+    with_residuals.add_many(row for _, row in ech.pivots)
     assert with_residuals.add_many(residuals) == len(residuals)
     assert all(with_residuals.contains(v) for v in vectors)
 
@@ -367,41 +367,46 @@ def test_pivot_orders_frozen():
 
 def test_reduce_full_scale_property():
     """On seeded random integer spans, some with entries that are multiples
-    of p0*p1: the scale is a positive Fraction, the residual has no pivot
-    column, and scale * vec - residual lies in the span.  For a vector
-    outside the span that pins the scale: any other scale moves the
-    difference out of the span by a multiple of the vector."""
+    of p0*p1, each held both as an echelon grown by `add` and as one built
+    at once from the columns, whose pivots may be negative: the scale is a
+    positive Fraction, the residual has no pivot column, and
+    scale * vec - residual lies in the span.  For a vector outside the span
+    that pins the scale: any other scale moves the difference out of the
+    span by a multiple of the vector."""
     rng = random.Random(20261019)
-    seen = {"inside": 0, "outside": 0, "fractional": 0}
+    seen = {"inside": 0, "outside": 0, "fractional": 0, "negative pivot": 0}
     for trial in range(100):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         big = trial % 3 == 0
         span = _random_low_rank_columns(
             rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), big
         )
-        ech = IntEchelon()
-        ech.add_many(span)
+        grown = IntEchelon()
+        grown.add_many(span)
+        built = IntEchelon(span)
         rank = rank_exact_rows(span)
-        assert ech.dim == rank
+        assert grown.rank == built.rank == rank
+        seen["negative pivot"] += any(row[c] < 0 for c, row in built.pivots)
         for _ in range(3):
             vec = _matvec(span, {c: rng.randint(-3, 3) for c in range(ncols)})
             if rng.random() < 0.5:
                 r = rng.randrange(nrows + 1)
                 vec[r] = vec.get(r, 0) + rng.choice((1, -2, 5, DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]))
             vec = {r: v * 2 for r, v in vec.items() if v}
-            res, scale = ech.reduce_full(vec)
-            assert isinstance(scale, Fraction) and scale > 0
-            assert not any(c in ech.rows for c in res)
-            assert all(isinstance(v, int) and v for v in res.values())
-            diff = {
-                r: scale.numerator * vec.get(r, 0) - scale.denominator * res.get(r, 0)
-                for r in set(vec) | set(res)
-            }
-            assert rank_exact_rows([*span, {r: v for r, v in diff.items() if v}]) == rank
             inside = rank_exact_rows([*span, vec]) == rank
-            assert inside == (not res) == ech.contains(vec)
+            for ech in (grown, built):
+                res, scale = ech.reduce_full(vec)
+                assert isinstance(scale, Fraction) and scale > 0
+                assert not any(c in ech.step for c in res)
+                assert all(isinstance(v, int) and v for v in res.values())
+                diff = {
+                    r: scale.numerator * vec.get(r, 0) - scale.denominator * res.get(r, 0)
+                    for r in set(vec) | set(res)
+                }
+                assert rank_exact_rows([*span, {r: v for r, v in diff.items() if v}]) == rank
+                assert inside == (not res) == ech.contains(vec)
+                seen["fractional"] += scale.denominator > 1
             seen["inside" if inside else "outside"] += 1
-            seen["fractional"] += scale.denominator > 1
     assert min(seen.values()) >= 10, seen
 
 
@@ -448,6 +453,17 @@ def test_modular_span_added_rank():
     assert span.added_rank([{0: 2, 1: 4}]) == 0
     assert span.added_rank([{2: 1}, {2: 3}]) == 1
     assert span.added_rank([]) == 0
+
+
+def test_modular_products_of_both_primes_leave_no_zero_entry():
+    """Modulo p0*p1 a multiple of p0 times a multiple of p1 is 0, so it is
+    not stored: no elimination picks it as a spurious pivot, and no residual
+    keeps it.  The rank is 4, as modulo each prime and over Q."""
+    p0, p1 = DEFAULT_PRIMES
+    cols = [{0: 1, 1: p1}, {0: p0, 4: 1}, {1: 1, 3: 1}, {4: 1, 5: 1}]
+    assert [rank_mod(cols, 6, p) for p in (p0, p1, PRIME_PRODUCT)] == [4, 4, 4]
+    assert rank_exact_rows(cols) == 4
+    assert ModularSpan(cols[:1], PRIME_PRODUCT).reduce({0: p0, 4: 1}) == {4: 1}
 
 
 def _dense_rank_mod(columns, nrows, p):

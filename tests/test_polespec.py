@@ -59,7 +59,7 @@ def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
     for k in range(win.k_max + 1):
         cols = win.wedge_columns(n - 1, k - d)
         assert all(state.rel[k].contains(c) for c in cols)
-        assert state.rel[k].dim == len(cols) - len(kernel_int_columns(cols))
+        assert state.rel[k].rank == len(cols) - len(kernel_int_columns(cols))
     for k in range(d + n - 1, win.k_max + 1):
         m = k - d
         wedge = win.wedge_columns(n - 1, m)
@@ -257,10 +257,10 @@ def test_d1_rank_relations_grow_by_rank():
     k = 9
     m = k - win.d
     state = SubquotientState(win)
-    assert state.rel[m].dim == win.rank_wedge(win.n - 1, m - win.d)
+    assert state.rel[m].rank == win.rank_wedge(win.n - 1, m - win.d)
     rank = state.advance_degree(k)
     assert rank > 0
-    assert state.rel[m].dim == win.rank_wedge(win.n - 1, m - win.d) + rank
+    assert state.rel[m].rank == win.rank_wedge(win.n - 1, m - win.d) + rank
     assert state.image_dims[(1, m)] == rank
 
 
