@@ -93,13 +93,15 @@ class KoszulWindow:
     path is one elimination modulo p0*p1, which stands for both fixed
     primes; when it meets a pivot divisible by one prime, the rank is
     computed by exact elimination instead.
-    force_exact() recomputes every cached rank exactly and sends every
-    later rank, free_ranks' included, down the exact path.
+    force_exact() recomputes every cached rank that is not exact yet and
+    sends every later rank, free_ranks' included, down the exact path.
     For n <= k <= n*d the (n-1, k-d) block, the df wedge image in M_k, is
     eliminated once modulo p0*p1 and kept as a span (an empty block gets
     none): rank_wedge reads its rank from it, and free_ranks reduces by it
-    as it pushes a basis of M_k up one degree at a time (exact: the same
-    block over Q), so each block is eliminated once per table and modulus.
+    as it pushes a basis of M_k up one degree at a time.  Its exact rank,
+    forced, promoted or after a zero divisor, is read from the same block's
+    span over Q, which the exact push reduces by, so each block is
+    eliminated once per table and modulus.
     record_exact_rank caches a rank found exactly elsewhere; on the tower
     window stage 1 records every (n-1, m) and (n-2, m) rank (no span), and
     promote_exact leaves such a rank alone.
@@ -264,29 +266,33 @@ class KoszulWindow:
         key = (j, m)
         if key in self._rank:
             return self._rank[key]
-        cols = self.wedge_columns(j, m)
-        r = rank_exact_rows(cols) if self._exact_ranks else self._modular_rank(j, m, cols)
+        r = self._block_rank(j, m, 0 if self._exact_ranks else PRIME_PRODUCT)
         self._rank[key] = r
         return r
 
-    def _modular_rank(self, j: int, m: int, cols: list[SparseVec]) -> int:
-        """Rank of df wedge out of (j, m) by one elimination modulo p0*p1,
-        exact on a zero divisor.  A block whose image lies in M_k, n <= k <=
-        n*d, is eliminated as the span the torsion/free split reduces by,
-        over Q when modulo p0*p1 it met a zero divisor."""
+    def _block_rank(self, j: int, m: int, p: int) -> int:
+        """Rank of df wedge out of (j, m) by one elimination modulo p =
+        p0*p1, exact on a zero divisor, or by exact elimination for p = 0.
+        A block whose image lies in M_k, n <= k <= n*d, is eliminated as the
+        span the torsion/free split reduces by, so it is eliminated once per
+        modulus, and once over Q."""
         if j == self.n - 1 and m + self.d <= self.n * self.d:
-            span = self._image_span(m + self.d, PRIME_PRODUCT)
-            return (span if span is not None else self._image_span(m + self.d, 0)).rank
-        try:
-            return rank_mod(cols, self.dim(j + 1, m + self.d), PRIME_PRODUCT)
-        except ZeroDivisorError:
-            return rank_exact_rows(cols)
+            span = self._image_span(m + self.d, p)
+            return span.rank if span is not None else self._block_rank(j, m, 0)
+        cols = self.wedge_columns(j, m)
+        if p:
+            try:
+                return rank_mod(cols, self.dim(j + 1, m + self.d), p)
+            except ZeroDivisorError:
+                pass
+        return rank_exact_rows(cols)
 
     def force_exact(self) -> None:
-        """Recompute every cached rank with exact elimination."""
+        """Recompute every cached rank that is not exact yet with exact
+        elimination."""
         self._exact_ranks = True
-        for key in list(self._rank):
-            self._rank[key] = rank_exact_rows(self.wedge_columns(*key))
+        for key in [key for key in self._rank if key not in self._exact]:
+            self._rank[key] = self._block_rank(*key, 0)
 
     def promote_exact(self, j: int, m: int) -> None:
         """Replace one cached rank by its exact value, unless it is exact
@@ -294,7 +300,7 @@ class KoszulWindow:
         downstream identity fails, before trusting the failure."""
         exact = (j, m) in self._exact or self._exact_ranks and (j, m) in self._rank
         if not exact and 0 <= j <= self.n - 1 and m >= j:
-            self.record_exact_rank(j, m, rank_exact_rows(self.wedge_columns(j, m)))
+            self.record_exact_rank(j, m, self._block_rank(j, m, 0))
 
     def record_exact_rank(self, j: int, m: int, r: int) -> None:
         """Cache a rank of df wedge out of (j, m) found by exact elimination."""

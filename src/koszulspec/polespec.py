@@ -146,10 +146,10 @@ class SubquotientState:
                     raise WellDefinednessViolation(
                         f"derivative of a boundary escapes relations at degree {m}"
                     )
+            # only the generators' vectors are read off the kernel
             glist = [
                 _Gen(rep=z, lift=z, value=_combine(deriv, z))
-                for f, z in cyc.items()
-                if f not in taken
+                for z in (cyc[f] for f in cyc if f not in taken)
             ]
             if glist:
                 self.gens[k] = glist

@@ -21,6 +21,10 @@ from koszulspec.linalg import (
     PRIME_PRODUCT,
     IntEchelon,
     ModularSpan,
+    _back_reduce,
+    _eliminate,
+    _lowest_terms,
+    _rows_of,
     combo_kernel,
     rank_exact_rows,
     rank_mod,
@@ -249,6 +253,37 @@ def modular_rank_agreement(count=100, seed=20260825):
         if modular_ranks(cols, nrows) == (r_exact, r_exact) and r_exact == dense_rank(cols, nrows):
             agree += 1
     return agree
+
+
+# -- reference kernel -----------------------------------------------------------
+
+
+def reference_kernel(columns):
+    """The eager read-off `kernel_int_columns` replaced: after the same
+    elimination and back-reduction, every kernel vector is read off at
+    once, through an index of the pivot rows touching each free column."""
+    pivots, reduced, _ = _eliminate(list(_rows_of(columns).values()))
+    _back_reduce(pivots, reduced)
+    touching = {}
+    for c, i in pivots:
+        row = reduced[i]
+        for f, v in row.items():
+            if f != c:
+                touching.setdefault(f, []).append((c, *_lowest_terms(-v, row[c])))
+    pivot_cols = {c for c, _ in pivots}
+    out = {}
+    for f in range(len(columns)):
+        if f in pivot_cols:
+            continue
+        terms = touching.get(f, ())
+        L = lcm(*(den for _, _, den in terms))
+        vec = {c: num * (L // den) for c, num, den in terms}
+        vec[f] = L
+        vec = dict(sorted(vec.items()))
+        if next(iter(vec.values())) < 0:
+            vec = {c: -v for c, v in vec.items()}
+        out[f] = vec
+    return out
 
 
 # -- reference column builders --------------------------------------------------

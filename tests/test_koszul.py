@@ -7,6 +7,7 @@ import pytest
 
 import support
 import tables
+from koszulspec import linalg
 from koszulspec.koszul import (
     KoszulWindow,
     assumption_evidence,
@@ -240,3 +241,30 @@ def test_shift_maps_add_exponents():
             assert len(table) == len(src)
             for a, r in zip(src, table):
                 assert dst[r] == tuple(x + y for x, y in zip(a, e)), (m, e, a)
+
+
+def test_forced_window_eliminates_each_block_once_over_q(monkeypatch):
+    """After force_exact() the table's exact ranks and its exact push share
+    their eliminations: an (n-1, m) block whose image lies in M_k, n <= k
+    <= n*d, takes its rank from the exact image span the push reduces by,
+    so every block is eliminated over Q exactly once."""
+    win = support.window("x^3 + y^2*z", support.VARS3)
+    exact = []  # every row list eliminated over Q, kept alive
+    real = linalg._eliminate
+
+    def eliminate(rows, p=0, rhs=None):
+        if not p:
+            exact.append(rows)
+        return real(rows, p, rhs)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    assert assumption_evidence(win).passed
+    win.force_exact()
+    ks = range(win.k_max + 1)
+    rows = [win.mu(k) for k in ks], [win.nu(k) for k in ks], [win.h_minus2(k) for k in ks]
+    win.free_ranks(generic_linear_form(win.n, 0))
+    monkeypatch.undo()
+    counts = {key: sum(r is win.wedge_columns(*key) for r in exact) for key in win._rank}
+    assert len(counts) > 10 and set(counts.values()) == {1}, counts
+    ref = support.window("x^3 + y^2*z", support.VARS3)
+    assert rows == ([ref.mu(k) for k in ks], [ref.nu(k) for k in ks], [ref.h_minus2(k) for k in ks])

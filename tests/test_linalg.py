@@ -1,10 +1,13 @@
 """Exact sparse linear algebra: ranks, kernels, spans and lift solves."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import support
+from koszulspec import linalg
 from koszulspec.linalg import (
     IntEchelon,
     ModularSpan,
@@ -292,7 +295,7 @@ def test_kernel_int_columns_property():
         frozen = [dict(c) for c in cols]
         ker = kernel_int_columns(cols)
         assert cols == frozen
-        assert isinstance(ker, dict)
+        assert isinstance(ker, Mapping)
         assert len(ker) == ncols - rank_exact_rows(cols)
         assert list(ker) == sorted(ker)
         for f, vec in ker.items():
@@ -312,6 +315,42 @@ def test_kernel_int_columns_property():
                 for r, v in cols[c].items():
                     image_[r] = image_.get(r, 0) + x * v
             assert not any(image_.values())
+
+
+def test_kernel_is_read_off_on_demand(monkeypatch):
+    """The kernel's keys come with the elimination, its vectors only when
+    asked for: `in`, `len` and iterating over the keys read off no vector,
+    each vector is read off once, and every vector equals the eager
+    read-off's, on random sparse matrices of every shape and rank."""
+    reads = []
+    real = linalg._Kernel._read_off
+    monkeypatch.setattr(linalg._Kernel, "_read_off", lambda ker, f: reads.append(f) or real(ker, f))
+    rng = random.Random(20261019)
+    for trial in range(150):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
+        if trial % 2:
+            cols = support.random_sparse(rng, nrows, ncols, density=rng.choice((0.2, 0.5)))
+        else:
+            cols = _random_low_rank_columns(
+                rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), big=trial % 4 == 0
+            )
+        ker = kernel_int_columns(cols)
+        del reads[:]
+        free = list(ker)
+        assert len(ker) == len(free) and all(f in ker for f in free)
+        assert [f for f in range(-1, ncols + 1) if f in ker] == free
+        assert reads == []
+        if free:
+            f = rng.choice(free)
+            assert ker[f] is ker[f]
+            assert reads == [f]
+        with pytest.raises(KeyError):
+            ker[ncols]
+        ref = support.reference_kernel(cols)
+        assert dict(ker) == ref and list(ker) == list(ref)
+        assert sorted(reads) == free
+        with pytest.raises(TypeError):
+            ker[0] = {}
 
 
 def test_kernel_int_columns_frozen_basis():

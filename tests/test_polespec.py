@@ -8,7 +8,7 @@ import pytest
 
 import support
 import tables
-from koszulspec import koszul, polespec
+from koszulspec import koszul, linalg, polespec
 from koszulspec.decomp import AssumptionFailure, build_invariant_table
 from koszulspec.koszul import KoszulWindow, assumption_evidence
 from koszulspec.linalg import IntEchelon, ModularSpan, kernel_int_columns
@@ -35,6 +35,25 @@ def test_stage_one_state_matches_window():
     for k in range(win.k_max + 1):
         assert state.m_dim(k) == win.mu(k)
         assert state.n_dim(k) == win.nu(k)
+
+
+@pytest.mark.parametrize(
+    "text, variables, k_max",
+    [
+        ("x^2*y^2 + z^4 + w^4", support.VARS4, 17),
+        # the Cayley cubic with x, y, z, w scaled by 1, 2, 3, 5
+        ("6*x*y*z + 10*x*y*w + 15*x*z*w + 30*y*z*w", support.VARS4, 12),
+    ],
+)
+def test_stage_one_reads_off_only_the_generators(text, variables, k_max, monkeypatch):
+    """Stage 1 reads only the generators off its kernels: one vector per
+    stage-1 generator, none for the cycles the boundaries account for."""
+    reads = []
+    real = linalg._Kernel._read_off
+    monkeypatch.setattr(linalg._Kernel, "_read_off", lambda ker, f: reads.append(f) or real(ker, f))
+    state = SubquotientState(KoszulWindow(support.poly(text, variables), k_max=k_max))
+    monkeypatch.undo()
+    assert 0 < len(reads) == sum(state.nu_hist[1])
 
 
 @pytest.mark.parametrize(
@@ -203,6 +222,9 @@ def test_tower_refuses_a_failing_input_after_stage_one(text, variables, monkeypa
     calls = []
     real = koszul.rank_exact_rows
     monkeypatch.setattr(koszul, "rank_exact_rows", lambda rows: calls.append(rows) or real(rows))
+    # an exact image span is an exact elimination too
+    span = koszul.IntEchelon
+    monkeypatch.setattr(koszul, "IntEchelon", lambda rows: calls.append(rows) or span(rows))
     with pytest.raises(AssumptionFailure) as err:
         pole_spectrum(KoszulWindow(f))
     monkeypatch.undo()
