@@ -22,11 +22,11 @@ class NotStabilizedError(RuntimeError):
 
 
 class AssumptionFailure(RuntimeError):
-    """Evidence checks refute the finite-singular-locus assumption."""
+    """The singularities are not certified isolated, or mu is not stable."""
 
     def __init__(self, evidence):
         self.evidence = evidence
-        super().__init__(f"assumption evidence failed: {evidence}")
+        super().__init__(f"assumption check failed: {evidence}")
 
 
 class IdentityViolation(RuntimeError):
@@ -206,7 +206,7 @@ def build_invariant_table(
     if k_max is not None and k_max < f.n * f.degree:
         raise ValueError(f"k_max must be at least n*d = {f.n * f.degree}")
     win = KoszulWindow(f, k_max)
-    evidence = assumption_evidence(win)
+    evidence = assumption_evidence(win, seed)
     if not evidence.passed:
         raise AssumptionFailure(evidence)
     ks = range(win.k_max + 1)

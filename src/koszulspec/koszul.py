@@ -23,7 +23,7 @@ from .linalg import (
     rank_mod,
     vec_from_fractions,
 )
-from .poly import HomogeneousPoly
+from .poly import HomogeneousPoly, generic_linear_form
 
 IndexSet = tuple[int, ...]
 Exponent = tuple[int, ...]
@@ -65,25 +65,12 @@ def _insert_index(i: int, idx: IndexSet) -> IndexSet:
 
 def gamma_series(n: int, d: int, k_max: int) -> list[int]:
     """Coefficients 0..k_max of t^n * (1 + t + ... + t^(d-2))^n, the common
-    Euler characteristic sequence for degree-d forms in n variables."""
-    base = [1] * (d - 1)
-    poly = [1]
-    for _ in range(n):
-        if not base:
-            poly = []
-            break
-        nxt = [0] * (len(poly) + len(base) - 1)
-        for a, pa in enumerate(poly):
-            if pa:
-                for b, pb in enumerate(base):
-                    nxt[a + b] += pa * pb
-        poly = nxt
-    out = [0] * (k_max + 1)
-    for i, v in enumerate(poly):
-        k = i + n
-        if k <= k_max:
-            out[k] = v
-    return out
+    Euler characteristic sequence for degree-d forms in n variables: the
+    alternating sum of the dimensions of the Koszul complex in degree k."""
+    return [
+        sum((-1) ** (n - j) * omega_dim(n, j, k - (n - j) * d) for j in range(n + 1))
+        for k in range(k_max + 1)
+    ]
 
 
 class KoszulWindow:
@@ -99,12 +86,13 @@ class KoszulWindow:
     eliminated once modulo p0*p1 and kept as a span (an empty block gets
     none): rank_wedge reads its rank from it, and free_ranks reduces by it
     as it pushes a basis of M_k up one degree at a time.  Its exact rank,
-    forced, promoted or after a zero divisor, is read from the same block's
-    span over Q, which the exact push reduces by, so each block is
-    eliminated once per table and modulus.
+    forced or after a zero divisor, is read from the same block's span
+    over Q, which the exact push reduces by, so each block is eliminated
+    once per table and modulus.
+    Once assumption_evidence certifies f, a rank out of j <= n-2 (n-1 if f
+    is smooth) is exact, read off exactness: dim(j, m) - r(j-1, m-d).
     record_exact_rank caches a rank found exactly elsewhere; on the tower
-    window stage 1 records every (n-1, m) and (n-2, m) rank (no span), and
-    promote_exact leaves such a rank alone.
+    window stage 1 records every (n-1, m) and (n-2, m) rank (no span).
     The monomial lists and offset maps the columns are built from are
     cached on the window too, never module-wide, so every window starts
     from the same cold state.
@@ -138,6 +126,7 @@ class KoszulWindow:
         self._exact: set[tuple[int, int]] = set()  # cached ranks known exact
         self._image_spans: dict[tuple[int, int], IntEchelon | ModularSpan | None] = {}
         self._exact_ranks = False
+        self._exact_through = -1  # largest j at which the complex is known exact
         self._gamma = gamma_series(self.n, self.d, self.k_max)
         # the pole order tower's result, cached by polespec._run_tower
         self._tower_result = None
@@ -266,7 +255,11 @@ class KoszulWindow:
         key = (j, m)
         if key in self._rank:
             return self._rank[key]
-        r = self._block_rank(j, m, 0 if self._exact_ranks else PRIME_PRODUCT)
+        if j <= self._exact_through:
+            r = self.dim(j, m) - self.rank_wedge(j - 1, m - self.d)
+            self._exact.add(key)
+        else:
+            r = self._block_rank(j, m, 0 if self._exact_ranks else PRIME_PRODUCT)
         self._rank[key] = r
         return r
 
@@ -295,9 +288,7 @@ class KoszulWindow:
             self._rank[key] = self._block_rank(*key, 0)
 
     def promote_exact(self, j: int, m: int) -> None:
-        """Replace one cached rank by its exact value, unless it is exact
-        already: forced, recorded or promoted before.  Called when a
-        downstream identity fails, before trusting the failure."""
+        """Replace one cached rank by its exact value unless it is exact."""
         exact = (j, m) in self._exact or self._exact_ranks and (j, m) in self._rank
         if not exact and 0 <= j <= self.n - 1 and m >= j:
             self.record_exact_rank(j, m, self._block_rank(j, m, 0))
@@ -307,6 +298,29 @@ class KoszulWindow:
         if 0 <= j <= self.n - 1 and m >= j:
             self._rank[(j, m)] = r
             self._exact.add((j, m))
+
+    def exact_through(self, level: int) -> None:
+        """Read every rank out of j <= level off exactness from now on; a
+        cached exact rank there (stage 1's) must agree with it."""
+        kept = {key: self._rank.pop(key) for key in list(self._rank) if key[0] <= level}
+        self._exact_through = level
+        for key, r in kept.items():
+            if key in self._exact and (closed := self.rank_wedge(*key)) != r:
+                raise RuntimeError(f"exact rank {r} out of {key} contradicts exactness: {closed}")
+
+    def fills(self, k: int, y: HomogeneousPoly) -> bool:
+        """Whether J + (y) fills the n-forms of degree k: modulo p0*p1, whose
+        full rank is full over Q, else (or on a zero divisor) over Q."""
+        maps = [(self.shift(k - self.n - 1, e), c) for e, c in y.integer_terms().items()]
+        cols = [{s[i]: c for s, c in maps} for i in range(len(self.monomials(k - self.n - 1)))]
+        for p in (PRIME_PRODUCT, 0):
+            span = self._image_span(k, p)
+            try:
+                if span is not None and span.rank + span.added_rank(cols) == self.dim(self.n, k):
+                    return True
+            except ZeroDivisorError:
+                pass
+        return False
 
     def _image_span(self, k: int, p: int) -> IntEchelon | ModularSpan | None:
         """Span of the df wedge image in M_k modulo p, or over Q for p = 0,
@@ -395,57 +409,44 @@ class KoszulWindow:
         cycles = self.dim(self.n - 1, k - self.d) - self.rank_wedge(self.n - 1, k - self.d)
         return cycles - self.rank_wedge(self.n - 2, k - 2 * self.d)
 
-    def h_minus2(self, k: int) -> int:
-        """dim of the next-lower Koszul cohomology; zero under the
-        one-dimensional-singular-locus assumption."""
-        cycles = self.dim(self.n - 2, k - 2 * self.d) - self.rank_wedge(self.n - 2, k - 2 * self.d)
-        return cycles - self.rank_wedge(self.n - 3, k - 3 * self.d)
-
 
 @dataclass(frozen=True)
 class AssumptionEvidence:
-    """Necessary-condition checks for the singular locus of the affine cone
-    being at most one-dimensional.  Evidence only; passing does not certify
-    the assumption, failing refutes it."""
+    """Certificate that f has only isolated singularities, and whether mu
+    has stabilized at the window top.  With seed None, mu(`degree`) = 0 (f
+    is smooth); else J + (y) fills the n-forms of that degree for y of that
+    seed, or, not certified, of no seed tried."""
 
-    h2_ok: bool
-    first_h2_offender: int | None
-    euler_ok: bool
-    first_euler_offender: int | None
+    certified: bool
+    degree: int
+    seed: int | None
     mu_stabilized: bool
-    mu_top_values: tuple[int, int]
+    mu_top_values: tuple[int, int] | None
 
     @property
     def passed(self) -> bool:
-        return self.h2_ok and self.euler_ok and self.mu_stabilized
+        return self.certified and self.mu_stabilized
 
 
-def assumption_evidence(win: KoszulWindow) -> AssumptionEvidence:
-    """Scan the window for vanishing of the lower Koszul cohomology, the
-    per-degree Euler identity mu - nu = gamma, and stabilization of mu."""
-    d = win.d
-    h2_ok, h2_off = True, None
-    for k in range(win.k_max + 1):
-        if win.h_minus2(k) != 0:
-            win.promote_exact(win.n - 2, k - 2 * d)
-            win.promote_exact(win.n - 3, k - 3 * d)
-            if win.h_minus2(k) != 0:
-                h2_ok, h2_off = False, k
+def assumption_evidence(win: KoszulWindow, seed: int = 0) -> AssumptionEvidence:
+    """Certify the singularities of f isolated (seeds seed..seed + 2), read
+    the window's ranks out of j <= n-2 (n-1 if f is smooth) off exactness,
+    as finite V(J) has height n - 1 (Eisenbud, Commutative Algebra, Thm.
+    17.4), and check that mu has stabilized.  A curve of singular points
+    meets every hyperplane; if V(J) misses y = 0, S/(J, y) is a quotient of
+    a complete intersection of n - 1 forms of degree d - 1 in n - 1
+    variables, of socle degree (n-1)(d-2), so J + (y) fills degree k*."""
+    n, d = win.n, win.d
+    smooth = n * d - n + 1  # mu there is 0 exactly when f is smooth
+    if win.dim(n, smooth) == win.rank_wedge(n - 1, smooth - d):
+        degree, found, level = smooth, None, n - 1
+    else:
+        degree, level = max(n, (n - 1) * (d - 2) + n + 1), n - 2
+        for found in range(seed, seed + 3):
+            if win.fills(degree, generic_linear_form(n, found)):
                 break
-    euler_ok, euler_off = True, None
-    for k in range(win.k_max + 1):
-        if win.mu(k) - win.nu(k) != win.gamma(k):
-            win.promote_exact(win.n - 1, k - d)
-            win.promote_exact(win.n - 2, k - 2 * d)
-            if win.mu(k) - win.nu(k) != win.gamma(k):
-                euler_ok, euler_off = False, k
-                break
+        else:
+            return AssumptionEvidence(False, degree, None, False, None)
+    win.exact_through(level)
     top = (win.mu(win.k_max - 1), win.mu(win.k_max))
-    return AssumptionEvidence(
-        h2_ok=h2_ok,
-        first_h2_offender=h2_off,
-        euler_ok=euler_ok,
-        first_euler_offender=euler_off,
-        mu_stabilized=top[0] == top[1],
-        mu_top_values=top,
-    )
+    return AssumptionEvidence(True, degree, found, top[0] == top[1], top)

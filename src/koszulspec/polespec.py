@@ -10,8 +10,8 @@ relation spaces, kernels shrink the generator sets, and the multiplicities
 mu^(r)_k - nu^(r)_k at stabilization are the pole order spectrum.
 
 Everything here is exact integer/rational arithmetic.  On the tower window
-the assumption scan reads the exact (n-1, m) and (n-2, m) ranks stage 1
-records; only its (n-3, m) ranks are taken modulo p0*p1.
+the certificate reads the (n-1, m) ranks stage 1 records and takes at most
+one rank modulo p0*p1; stage 1's (n-2, m) ranks must match exactness.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class SubquotientState:
             self.wlift[k] = []
             if rel.rank != len(cols) - len(cyc):
                 raise RuntimeError(f"rank disagreement at degree {k}")
-            # the assumption scan reads these exact ranks, not eliminating again
+            # the certificate reads these exact ranks, not eliminating again
             win.record_exact_rank(n - 1, m, rel.rank)
             if not cyc:
                 win.record_exact_rank(n - 2, m - d, 0)  # boundaries are cycles
@@ -296,11 +296,10 @@ class _TowerResult:
 
 
 def _run_tower(win: KoszulWindow) -> _TowerResult:
-    """The tower on `win`, cached.  Stage 1 runs before the assumption scan,
-    which then reads its exact (n-1, m) and (n-2, m) ranks.  The CLI builds
-    the table, and so runs its scan, before the tower: its refusals cost what
-    they did before; only a direct library call on a failing input pays for
-    stage 1 first."""
+    """The tower on `win`, cached.  Stage 1 runs before the certificate,
+    which reads its (n-1, m) ranks and checks its (n-2, m) ranks.  The CLI
+    certifies the input on the table's window first: only a direct library
+    call on a failing input pays for stage 1."""
     if win._tower_result is not None:
         return win._tower_result
     state = SubquotientState(win)

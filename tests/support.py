@@ -2,9 +2,9 @@
 
 Polynomials and tables are cached per input so the expensive objects are
 built once and shared across test modules.  Windows are built fresh on every
-call: a window is mutable (its rank cache takes exact ranks from a tower run
-or force_exact(), and it caches its tower's result), so no test reads what
-another one left in it.
+call: a window is mutable (its rank cache takes exact ranks from a tower run,
+force_exact() or a certificate, and it caches its tower's result), so no
+test reads what another one left in it.
 """
 
 import random
@@ -21,6 +21,7 @@ from koszulspec.linalg import (
     PRIME_PRODUCT,
     IntEchelon,
     ModularSpan,
+    ZeroDivisorError,
     _back_reduce,
     _eliminate,
     _lowest_terms,
@@ -253,6 +254,29 @@ def modular_rank_agreement(count=100, seed=20260825):
         if modular_ranks(cols, nrows) == (r_exact, r_exact) and r_exact == dense_rank(cols, nrows):
             agree += 1
     return agree
+
+
+# -- reference ranks -------------------------------------------------------------
+
+
+def certificate_degree(n, d):
+    """k* = max(n, (n-1)(d-2) + n + 1): one above the socle degree of a
+    complete intersection of n - 1 forms of degree d - 1 in n - 1 variables,
+    shifted by n, where J + (y) fills the n-forms when V(J) misses y = 0."""
+    return max(n, (n - 1) * (d - 2) + n + 1)
+
+
+def reference_rank(win, j, m):
+    """Rank of df wedge out of (j, m) by eliminating its block, modulo
+    p0*p1 and exactly on a zero divisor: the per-block path the window
+    takes for every rank exactness does not give."""
+    if j < 0 or j > win.n - 1 or m < j:
+        return 0
+    cols = win.wedge_columns(j, m)
+    try:
+        return rank_mod(cols, win.dim(j + 1, m + win.d), PRIME_PRODUCT)
+    except ZeroDivisorError:
+        return rank_exact_rows(cols)
 
 
 # -- reference kernel -----------------------------------------------------------

@@ -473,16 +473,35 @@ def test_exit_assumption_failure(capsys):
     assert code == 3
 
 
-def test_spectrum_refusal_comes_from_the_table_scan(capsys):
-    """spectrum builds the table, and so runs its assumption scan, before
-    the tower: a refuted input exits 3 with the table's evidence."""
+def test_spectrum_refusal_comes_from_the_table_certificate(capsys):
+    """spectrum builds the table, and so certifies the input, before the
+    tower: a refused input exits 3 with the table's certificate message,
+    which names the degree k* it sought."""
     code, out, err = run(capsys, "spectrum", "x^2", "--vars", "x,y,z")
     assert (code, out) == (3, "")
     assert err == (
-        "error: assumption evidence failed: AssumptionEvidence(h2_ok=False, "
-        "first_h2_offender=5, euler_ok=False, first_euler_offender=5, "
-        "mu_stabilized=False, mu_top_values=(5, 6))\n"
+        "error: assumption check failed: AssumptionEvidence(certified=False, degree=4, "
+        "seed=None, mu_stabilized=False, mu_top_values=None)\n"
     )
+
+
+@pytest.mark.parametrize("command", ["invariants", "spectrum"])
+@pytest.mark.parametrize(
+    "poly, variables, degree",
+    [("x^2", "x,y,z", 4), ("x^2*y^2", "x,y,z", 8), ("x^3 + y^3", "x,y,z,w", 8),
+     ("x^2*y^2 + z^4", "x,y,z,w", 11), ("x^3 + y^3 + z^3", "x,y,z,w,v", 10)],
+)
+def test_non_isolated_inputs_are_refused(capsys, command, poly, variables, degree):
+    code, out, err = run(capsys, command, poly, "--vars", variables)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: assumption check failed: AssumptionEvidence(certified=False, degree={degree},")
+
+
+def test_a_cone_over_three_points_is_certified(capsys):
+    """x^3 + y^3 in x, y, z has one singular point, the vertex: isolated."""
+    code, out, _ = run(capsys, "invariants", "x^3 + y^3", "--vars", "x,y,z", "--json")
+    assert code == 0
+    assert json.loads(out)["tau"] == 4
 
 
 def test_exit_unwritable_catalog(capsys):

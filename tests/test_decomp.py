@@ -212,9 +212,10 @@ def test_table_raises_when_every_attempt_fails(monkeypatch):
 
 def test_split_spans_survive_seed_retries(monkeypatch):
     """The image of df wedge in each degree n <= k <= n*d is eliminated once
-    for the whole table, modulo p0*p1, while mu is read: the three failing
-    modular split attempts build no further span, and neither does the
-    exact attempt."""
+    for the whole table, modulo p0*p1, while mu is read: the certificate and
+    the first split attempt build them, and the two failing modular split
+    attempts after it build no further span, and neither does the exact
+    attempt."""
     real_init, real_span = KoszulWindow.__init__, ModularSpan.__init__
     windows, built = [], []
     calls = _skewed_split(monkeypatch, always=False)
@@ -235,13 +236,18 @@ def test_split_spans_survive_seed_retries(monkeypatch):
     n, d = win.n, win.d
     blocks = [id(win.wedge_columns(n - 1, k - d)) for k in range(n - 1 + d, n * d + 1)]
     assert sorted(built) == sorted((b, PRIME_PRODUCT) for b in blocks)
-    assert calls == ["span"] * len(blocks) + ATTEMPTS
+    assert [c for c in calls if c != "span"] == ATTEMPTS
+    second = calls.index("split", calls.index("split") + 1)
+    assert "span" not in calls[second:]
 
 
 def test_one_modular_elimination_per_wedge_block(monkeypatch):
-    """A table eliminates each df wedge block it ranks exactly once, modulo
-    p0*p1: one rank_mod call, or for the image in M_{n*d} the one
-    ModularSpan that gives both its rank and the split's reductions."""
+    """A table eliminates each (n-1, m) df wedge block it ranks exactly
+    once, modulo p0*p1: one rank_mod call, or for an image in M_k, k <=
+    n*d, the one ModularSpan that gives both its rank and the split's
+    reductions.  It eliminates no block out of j <= n-2: those ranks are
+    read off exactness, and count as exact.  On a smooth input it
+    eliminates only the block behind mu(n*d - n + 1)."""
     windows, eliminated = [], []
     real_init, real_span, real_rank = KoszulWindow.__init__, ModularSpan.__init__, koszul.rank_mod
 
@@ -260,10 +266,20 @@ def test_one_modular_elimination_per_wedge_block(monkeypatch):
     monkeypatch.setattr(KoszulWindow, "__init__", window)
     monkeypatch.setattr(ModularSpan, "__init__", span)
     monkeypatch.setattr(koszul, "rank_mod", rank)
-    build_invariant_table(support.poly("x^2*y^2 + z^4", support.VARS3))
-    [win] = windows
-    blocks = [id(win.wedge_columns(j, m)) for j, m in win._rank if win.wedge_columns(j, m)]
-    assert sorted(eliminated) == sorted((b, PRIME_PRODUCT) for b in blocks)
+    for text in ("x^2*y^2 + z^4", "x^4 + y^4 + z^4"):
+        windows.clear()
+        eliminated.clear()
+        tab = build_invariant_table(support.poly(text, support.VARS3))
+        [win] = windows
+        n, d = win.n, win.d
+        lower = {key for key in win._rank if key[0] <= n - 2}
+        assert lower and lower <= win._exact
+        if tab.tau:
+            keys = [key for key in win._rank if key[0] == n - 1]
+        else:
+            keys = [(n - 1, n * d - n + 1 - d)]
+        blocks = [id(win.wedge_columns(*key)) for key in keys if win.wedge_columns(*key)]
+        assert sorted(eliminated) == sorted((b, PRIME_PRODUCT) for b in blocks), text
 
 
 def test_assumption_failure_raised():
@@ -303,8 +319,9 @@ def test_syzygy_counts_match_first_nu():
 def test_split_skips_a_zero_target(monkeypatch):
     """Where mu(n*d) = 0 the free rank is 0 without any push or elimination:
     on a smooth input the table never pushes, reduces by no span and ranks
-    nothing.  On a singular one each attempt pushes once, and only the span
-    in degree n*d ranks, once per degree n <= k <= n*d - n."""
+    nothing.  On a singular one the certificate ranks once, against the span
+    in its degree, and each attempt pushes once, where only the span in
+    degree n*d ranks, once per degree n <= k <= n*d - n."""
 
     def refuse(name):
         def call(*args):
@@ -338,7 +355,8 @@ def test_split_skips_a_zero_target(monkeypatch):
     tab = build_invariant_table(support.corpus_poly("xyz"))
     [win] = pushed
     top = win._image_span(win.n * win.d, PRIME_PRODUCT)
-    assert ranked == [top] * (win.n * win.d - 2 * win.n + 1)
+    cert = win._image_span(support.certificate_degree(win.n, win.d), PRIME_PRODUCT)
+    assert ranked == [cert] + [top] * (win.n * win.d - 2 * win.n + 1)
     tables.assert_row(tab.mu_free, tables.XYZ["mu_free"], label="xyz.mu_free")
 
 

@@ -55,9 +55,15 @@ def _poly_coeffs(n, d, k_max):
 
 
 def test_gamma_series_matches_convolution():
-    for n, d in [(2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (4, 5)]:
-        k_max = n * d + d
-        assert gamma_series(n, d, k_max) == _poly_coeffs(n, d, k_max)
+    """gamma_series is the alternating sum of the dimensions of the Koszul
+    complex, sum_j (-1)^(n-j) dim(j, k - (n-j)d); it equals the coefficients
+    of t^n * (1 + ... + t^(d-2))^n.  Once every rank out of j <= n-2 is read
+    off exactness, mu_k - nu_k telescopes to that sum, so the Euler identity
+    mu - nu = gamma holds for every certified input."""
+    for n in range(2, 6):
+        for d in range(1, 8):
+            k_max = n * d + d
+            assert gamma_series(n, d, k_max) == _poly_coeffs(n, d, k_max), (n, d)
 
 
 def test_gamma_series_symmetry_and_mass():
@@ -164,23 +170,149 @@ def test_xyz_frozen_rows():
 
 
 def test_lower_cohomology_vanishes():
-    for label in ("xyz", "twoa3"):
+    """The complex is exact at n - 2 on isolated singularities, with every
+    rank taken by eliminating its block."""
+    for label in ("xyz", "twoa3", "cayley"):
         win = support.corpus_window(label)
-        assert all(win.h_minus2(k) == 0 for k in range(win.k_max + 1))
+        n, d = win.n, win.d
+        for k in range(win.k_max + 1):
+            m = k - 2 * d
+            cycles = win.dim(n - 2, m) - support.reference_rank(win, n - 2, m)
+            assert cycles == support.reference_rank(win, n - 3, m - d), (label, k)
 
 
 def test_assumption_evidence_passes_on_good_input():
-    ev = assumption_evidence(support.corpus_window("xyz"))
-    assert ev.passed
-    assert ev.h2_ok and ev.euler_ok and ev.mu_stabilized
-    assert ev.first_h2_offender is None
+    win = support.corpus_window("xyz")
+    ev = assumption_evidence(win)
+    assert ev.passed and ev.certified and ev.mu_stabilized
+    assert (ev.degree, ev.seed) == (support.certificate_degree(3, 3), 0) == (6, 0)
+    assert win._exact_through == win.n - 2
 
 
 def test_assumption_evidence_fails_on_bad_locus():
     # x^2 in three variables: the singular locus of the cone is a plane
     win = support.window("x^2", support.VARS3)
     ev = assumption_evidence(win)
-    assert not ev.passed
+    assert not ev.passed and not ev.certified
+    assert (ev.degree, ev.seed, ev.mu_top_values) == (support.certificate_degree(3, 2), None, None)
+    assert win._exact_through == -1
+
+
+@pytest.mark.parametrize(
+    "text, variables",
+    [("x + 2*y - z", support.VARS3), ("x + y", support.VARS2),
+     ("x^2 + y^2 + z^2", support.VARS3), ("x^3 + y^3 + z^3 + w^3", support.VARS4)],
+)
+def test_smooth_inputs_are_certified_by_mu(text, variables):
+    """mu(n*d - n + 1) = 0 certifies a smooth input, with no linear form;
+    the complex is then exact up to n - 1.  d = 1 included."""
+    win = support.window(text, variables)
+    n, d = win.n, win.d
+    ev = assumption_evidence(win)
+    assert ev.passed and (ev.degree, ev.seed) == (n * d - n + 1, None)
+    assert win._exact_through == n - 1
+    assert ev.mu_top_values == (0, 0)
+
+
+# every entry of tests/tables.py and the ladder of ROADMAP.md
+CERTIFIED = [
+    (data["text"], data["variables"]) for data in tables.FIVE_EXAMPLES + [tables.FERMAT_CUBIC, tables.NON_WH]
+] + [(support.pencil_text(m), support.VARS2) for m in tables.PENCIL_MU2] + [
+    ("x^2*y^2 + z^4", support.VARS3),
+    ("x^5 + y^5 + z^5", support.VARS3),
+    ("x^12 + y^12 + x^5*y^5*z^2", support.VARS3),
+    ("x^2*y^2 + z^4 + w^4", support.VARS4),
+    ("x^2*y^3 + z^5 + w^5", support.VARS4),
+    ("x^2*y^2*z^2 + x^6 + y^6 + z^6 + w^6", support.VARS4),
+    ("x^2*y^2 + z^4 + w^4 + v^4", ("x", "y", "z", "w", "v")),
+    # a cone over three points: one singular point, isolated
+    ("x^3 + y^3", support.VARS3),
+    # d = 2: a cone over two points, and two lines through a point
+    ("x^2 + y^2", support.VARS3),
+    ("x*y", support.VARS3),
+    ("x^2", support.VARS2),
+    # d = 1: hyperplanes, where k* = n = n*d
+    ("x + y", support.VARS2),
+    ("x + 2*y - z", support.VARS3),
+]
+
+
+@pytest.mark.parametrize("text, variables", CERTIFIED)
+def test_certificate_holds_at_its_degree_with_seed_zero(text, variables):
+    """J + (y), y the seed-0 linear form, fills the n-forms of degree
+    k* = max(n, (n-1)(d-2) + n + 1), which is at most n*d, on smooth and
+    isolated-singular inputs alike."""
+    win = support.window(text, variables)
+    n, d = win.n, win.d
+    k = support.certificate_degree(n, d)
+    assert k <= n * d
+    assert win.fills(k, generic_linear_form(n, 0))
+    assert assumption_evidence(KoszulWindow(win.f)).passed
+
+
+@pytest.mark.parametrize(
+    "text, variables",
+    [("x^2", support.VARS3), ("x^2*y^2", support.VARS3), ("x^3 + y^3", support.VARS4),
+     ("x^2*y^2 + z^4", support.VARS4), ("x^3 + y^3 + z^3", ("x", "y", "z", "w", "v"))],
+)
+def test_certificate_refuses_a_curve_of_singular_points(text, variables):
+    """Each input is singular along a curve or more, which meets every
+    hyperplane: no linear form makes J + (y) fill degree k*, over Q either,
+    and the window reads no rank off exactness."""
+    win = support.window(text, variables)
+    n, d = win.n, win.d
+    k = support.certificate_degree(n, d)
+    assert not any(win.fills(k, generic_linear_form(n, s)) for s in range(3))
+    assert (k, 0) in win._image_spans
+    ev = assumption_evidence(win)
+    assert not ev.certified and ev.degree == k and win._exact_through == -1
+
+
+@pytest.mark.parametrize("factor", linalg.DEFAULT_PRIMES + (linalg.PRIME_PRODUCT,))
+def test_a_short_modular_rank_refutes_nothing(factor):
+    """x^2*y^2 + c*z^4 has two A3 points over Q.  With c = p0 or p1 the
+    modular image span meets a zero divisor, with c = p0*p1 its rank modulo
+    p0*p1 falls short; either way the exact span decides, and certifies."""
+    win = support.window(f"x^2*y^2 + {factor}*z^4", support.VARS3)
+    k = support.certificate_degree(3, 4)
+    ev = assumption_evidence(win)
+    assert ev.certified and (ev.degree, ev.seed) == (k, 0)
+    assert (k, 0) in win._image_spans
+
+
+# inputs on which every rank exactness gives is checked against its block
+ORACLE = [
+    ("x*y*z", support.VARS3),
+    ("x^2*y^2 + z^4", support.VARS3),
+    ("x^2*y*z + x*y^2*z + x*y*z^2", support.VARS3),
+    ("x^3 + y^2*z", support.VARS3),
+    ("x^5 + y^5 + x^2*y^2*z", support.VARS3),
+    ("x^4 + y^4 + z^4", support.VARS3),
+    ("x*y*z + x*y*w + x*z*w + y*z*w", support.VARS4),
+    ("x^2*y^2 + z^4 + w^4", support.VARS4),
+    ("x^3 + y^3 + z^3", support.VARS4),
+    ("x^3 + y^3 + z^3 + w^3", support.VARS4),
+    ("3*x^2*y^3 + 7*z^5 - 11*w^5 + 5*x*y*z*w^2", support.VARS4),
+]
+
+
+@pytest.mark.parametrize("text, variables", ORACLE)
+def test_ranks_read_off_exactness_match_their_blocks(text, variables):
+    """After the certificate every rank out of j <= n-2 in the window, and
+    on a smooth input every rank out of n - 1 too, equals the rank of its
+    eliminated block."""
+    win = support.window(text, variables)
+    ev = assumption_evidence(win)
+    n, d = win.n, win.d
+    top = n - 1 if ev.seed is None else n - 2
+    assert ev.passed and win._exact_through == top
+    ref = support.window(text, variables)
+    keys = [(j, k - (n - j) * d) for k in range(win.k_max + 1) for j in range(top + 1)]
+    keys = [(j, m) for j, m in keys if m >= j]
+    assert keys
+    assert {key: win.rank_wedge(*key) for key in keys} == {
+        key: support.reference_rank(ref, *key) for key in keys
+    }
 
 
 # -- column builders against the tuple-keyed reference --------------------------
@@ -244,10 +376,12 @@ def test_shift_maps_add_exponents():
 
 
 def test_forced_window_eliminates_each_block_once_over_q(monkeypatch):
-    """After force_exact() the table's exact ranks and its exact push share
-    their eliminations: an (n-1, m) block whose image lies in M_k, n <= k
-    <= n*d, takes its rank from the exact image span the push reduces by,
-    so every block is eliminated over Q exactly once."""
+    """After the certificate and force_exact() the table's exact ranks and
+    its exact push share their eliminations: an (n-1, m) block whose image
+    lies in M_k, n <= k <= n*d, takes its rank from the exact image span the
+    push reduces by, so every (n-1, m) block is eliminated over Q exactly
+    once.  A rank out of j <= n-2 is read off exactness: no block of it is
+    eliminated, before or after force_exact()."""
     win = support.window("x^3 + y^2*z", support.VARS3)
     exact = []  # every row list eliminated over Q, kept alive
     real = linalg._eliminate
@@ -261,10 +395,15 @@ def test_forced_window_eliminates_each_block_once_over_q(monkeypatch):
     assert assumption_evidence(win).passed
     win.force_exact()
     ks = range(win.k_max + 1)
-    rows = [win.mu(k) for k in ks], [win.nu(k) for k in ks], [win.h_minus2(k) for k in ks]
+    rows = [win.mu(k) for k in ks], [win.nu(k) for k in ks]
     win.free_ranks(generic_linear_form(win.n, 0))
     monkeypatch.undo()
     counts = {key: sum(r is win.wedge_columns(*key) for r in exact) for key in win._rank}
-    assert len(counts) > 10 and set(counts.values()) == {1}, counts
+    top = {key: c for key, c in counts.items() if key[0] == win.n - 1}
+    lower = {key: c for key, c in counts.items() if key[0] < win.n - 1}
+    n, d = win.n, win.d
+    assert set(top) == {(n - 1, k - d) for k in range(n - 1 + d, win.k_max + 1)}
+    assert set(top.values()) == {1}, top
+    assert lower and set(lower.values()) == {0}, lower
     ref = support.window("x^3 + y^2*z", support.VARS3)
-    assert rows == ([ref.mu(k) for k in ks], [ref.nu(k) for k in ks], [ref.h_minus2(k) for k in ks])
+    assert rows == ([ref.mu(k) for k in ks], [ref.nu(k) for k in ks])

@@ -175,9 +175,11 @@ def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
 )
 def test_tower_window_reads_its_ranks_from_stage_one(monkeypatch, text, variables, k_max):
     """On the tower window stage 1 records every (n-1, m) and (n-2, m) rank
-    exactly, before the assumption scan reads them: the scan eliminates
-    only (n-3, m) blocks modulo p0*p1, the window builds no ModularSpan,
-    and nothing is promoted to an exact rank afterwards."""
+    exactly, before the certificate reads them: no block is ranked modulo
+    p0*p1 and no (n-3, m) block is eliminated at all; the certificate's one
+    ModularSpan, of the image in its degree, is the only modular work, and
+    nothing is promoted to an exact rank afterwards.  Every recorded
+    (n-2, m) rank agrees with exactness."""
     eliminated, spans, promoted = [], [], []
     real_rank, real_span, real_promote = koszul.rank_mod, ModularSpan.__init__, KoszulWindow.promote_exact
 
@@ -199,10 +201,9 @@ def test_tower_window_reads_its_ranks_from_stage_one(monkeypatch, text, variable
     win = KoszulWindow(support.poly(text, variables), k_max=k_max)
     pole_spectrum(win)
     n, d, K = win.n, win.d, win.k_max
-    assert spans == [] and promoted == []
-    assert eliminated and all(
-        any(c is win.wedge_columns(n - 3, m) for m in range(K + 1)) for c in eliminated
-    )
+    assert eliminated == [] and promoted == []
+    [cert] = spans
+    assert cert is win.wedge_columns(n - 1, support.certificate_degree(n, d) - d)
     ref = KoszulWindow(win.f, k_max=k_max)
     ref.force_exact()
     stage_one = {(j, k - (n - j) * d) for k in range(K + 1) for j in (n - 1, n - 2)}
@@ -211,13 +212,28 @@ def test_tower_window_reads_its_ranks_from_stage_one(monkeypatch, text, variable
     assert {key: win._rank[key] for key in cached} == {key: ref.rank_wedge(*key) for key in cached}
 
 
+def test_stage_one_ranks_are_checked_against_exactness():
+    """An (n-2, m) rank stage 1 recorded that exactness contradicts raises
+    once the certificate holds, naming both ranks, rather than being
+    overwritten by the rank exactness gives."""
+    win = support.corpus_window("twoa3")
+    SubquotientState(win)
+    n, d = win.n, win.d
+    j, m = n - 2, 2 * d
+    good = win._rank[(j, m)]
+    win._rank[(j, m)] = good + 1
+    with pytest.raises(RuntimeError) as err:
+        assumption_evidence(win)
+    assert str(err.value) == f"exact rank {good + 1} out of ({j}, {m}) contradicts exactness: {good}"
+
+
 @pytest.mark.parametrize("text, variables", [("x^2", support.VARS3), ("x^3 + y^3", support.VARS4)])
 def test_tower_refuses_a_failing_input_after_stage_one(text, variables, monkeypatch):
-    """Stage 1 runs before the assumption scan, yet an input the scan
-    refutes still ends in AssumptionFailure, with the evidence the table's
-    own scan finds, and not in an error from stage 1.  The scan's
-    promote_exact repairs leave alone the ranks stage 1 recorded exactly,
-    so no block is eliminated exactly again."""
+    """Stage 1 runs before the certificate, yet an input it refuses still
+    ends in AssumptionFailure, with the evidence of the table's own
+    certificate, and not in an error from stage 1.  The one exact
+    elimination is the certificate's exact image span in its degree, taken
+    once across the three seeds after the modular rank fell short."""
     f = support.poly(text, variables)
     calls = []
     real = koszul.rank_exact_rows
@@ -225,10 +241,12 @@ def test_tower_refuses_a_failing_input_after_stage_one(text, variables, monkeypa
     # an exact image span is an exact elimination too
     span = koszul.IntEchelon
     monkeypatch.setattr(koszul, "IntEchelon", lambda rows: calls.append(rows) or span(rows))
+    win = KoszulWindow(f)
     with pytest.raises(AssumptionFailure) as err:
-        pole_spectrum(KoszulWindow(f))
+        pole_spectrum(win)
     monkeypatch.undo()
-    assert calls == []
+    [rows] = calls
+    assert rows is win.wedge_columns(f.n - 1, support.certificate_degree(f.n, f.degree) - f.degree)
     assert not err.value.evidence.passed
     assert err.value.evidence == assumption_evidence(KoszulWindow(f))
 
