@@ -118,10 +118,11 @@ class ZeroDivisorError(ArithmeticError):
 
 def _pivot_key(row: SparseVec, idx: int, p: int) -> tuple[int, ...]:
     """Markowitz-style pivot row order: fewest entries, then over the
-    integers (p = 0) smallest coefficient bit length, then index."""
+    integers (p = 0) smallest coefficient bit length (`int.bit_length`
+    ignores the sign), then index."""
     if p:
         return (len(row), idx)
-    return (len(row), min(abs(v).bit_length() for v in row.values()), idx)
+    return (len(row), min(map(int.bit_length, row.values())), idx)
 
 
 def _pick_pivot_col(row: SparseVec, col_rows: dict[int, set[int]], p: int) -> int:
@@ -129,7 +130,7 @@ def _pick_pivot_col(row: SparseVec, col_rows: dict[int, set[int]], p: int) -> in
     then over the integers smallest coefficient, then smallest index."""
     if p:
         return min(row, key=lambda c: (len(col_rows[c]), c))
-    return min(row, key=lambda c: (len(col_rows[c]), abs(row[c]).bit_length(), c))
+    return min(row, key=lambda c: (len(col_rows[c]), row[c].bit_length(), c))
 
 
 def _eliminate(

@@ -66,6 +66,14 @@ def _combine(vectors: list[SparseVec], coeffs: SparseVec) -> SparseVec:
     return out
 
 
+def _leibniz(deriv: list[SparseVec], b: SparseVec, image: list[SparseVec], d_eta: SparseVec) -> bool:
+    """Whether D(df ^ eta) = -df ^ D(eta) holds exactly for the boundary
+    b = df ^ eta, given the D columns at b's degree (`deriv`), the df wedge
+    columns at D(eta)'s degree (`image`) and D(eta); then D(b) lies in the
+    image of df wedge."""
+    return _combine(deriv, b) == {r: -v for r, v in _combine(image, d_eta).items()}
+
+
 @dataclass
 class _Gen:
     """One kernel generator: the class representative (a cycle), the newest
@@ -109,47 +117,50 @@ class SubquotientState:
         n, d, K = win.n, win.d, win.k_max
         for k in range(K + 1):
             m = k - d
-            # one elimination of the (n-1, m) block serves both faces of df
-            # wedge: its kernel holds the cycles, and its pivot columns (the
-            # columns that are not free) are independent and span the image,
-            # the relations at k
+            # the boundaries first.  df wedge kills the image of the
+            # (n-3, m-2d) block, so the (n-2, m-d) columns off its pivots
+            # still span the boundaries; one elimination of them finds the
+            # boundary pivots P, each mapped to a boundary of a basis
+            bnd = win.wedge_columns(n - 2, m - d)
+            low = win.wedge_columns(n - 3, m - 2 * d)
+            below = pivot_columns(low) if low else {}
+            etas = [q for q in range(len(bnd)) if q not in below]
+            basis = pivot_columns([bnd[q] for q in etas]) if etas else {}
+            win.record_exact_rank(n - 2, m - d, len(basis))
+            # the coordinate vectors off P span a complement of the
+            # boundaries, which df wedge kills: the kernel of the (n-1, m)
+            # columns off P is a complement of the boundaries in the cycles,
+            # the generators, and the pivot columns of that one elimination
+            # are independent and span the image, the relations at k
             cols = win.wedge_columns(n - 1, m)
-            cyc = kernel_int_columns(cols)
+            off = [c for c in range(len(cols)) if c not in basis]
+            cyc = kernel_int_columns([cols[c] for c in off])
             rel = IntEchelon()
-            rel.add_many(col for i, col in enumerate(cols) if i not in cyc)
+            rel.add_many(cols[c] for i, c in enumerate(off) if i not in cyc)
             self.rel[k] = rel
             self.wlift[k] = []
-            if rel.rank != len(cols) - len(cyc):
+            if rel.rank != len(off) - len(cyc):
                 raise RuntimeError(f"rank disagreement at degree {k}")
             # the certificate reads these exact ranks, not eliminating again
             win.record_exact_rank(n - 1, m, rel.rank)
-            if not cyc:
-                win.record_exact_rank(n - 2, m - d, 0)  # boundaries are cycles
+            if not (basis or cyc):
                 continue
-            bnd = win.wedge_columns(n - 2, m - d) if m >= d else []
             deriv = win.derivative_columns(n - 1, m)
-            # a cycle is fixed by its entries at the free columns of the
-            # kernel basis, where that basis is diagonal, so the cycles map
-            # one-to-one onto those columns.  On the pivot columns of any
-            # elimination of the projected boundaries their rank is full,
-            # so the cycles whose free column is no such pivot complete the
-            # boundaries to a basis of the cycles; one sparse Markowitz
-            # elimination finds them
-            proj = [(b, p) for b in bnd if (p := {f: v for f, v in b.items() if f in cyc})]
-            taken = pivot_columns([p for _, p in proj]) if bnd else {}
-            win.record_exact_rank(n - 2, m - d, len(taken))
             # sign-convention guard: derivatives of boundaries must already
             # be relations, otherwise classes have no well-defined value; by
-            # linearity the boundaries at the pivot rows, a basis, suffice
-            for i in taken.values():
-                if not self.rel[m].contains(_combine(deriv, proj[i][0])):
+            # linearity the basis boundaries suffice, and D of each is one
+            # by the Leibniz identity unless the conventions disagree
+            image = win.wedge_columns(n - 1, m - d)
+            lower = win.derivative_columns(n - 2, m - d)
+            for i in basis.values():
+                b, d_eta = bnd[etas[i]], lower[etas[i]]
+                if not _leibniz(deriv, b, image, d_eta) and not self.rel[m].contains(_combine(deriv, b)):
                     raise WellDefinednessViolation(
                         f"derivative of a boundary escapes relations at degree {m}"
                     )
-            # only the generators' vectors are read off the kernel
             glist = [
                 _Gen(rep=z, lift=z, value=_combine(deriv, z))
-                for z in (cyc[f] for f in cyc if f not in taken)
+                for z in ({off[c]: v for c, v in y.items()} for y in cyc.values())
             ]
             if glist:
                 self.gens[k] = glist

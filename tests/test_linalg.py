@@ -404,6 +404,21 @@ def test_pivot_orders_frozen():
     assert vecs == [{c: v for c, v in enumerate(row) if v} for row in A]
 
 
+def test_pivot_choice_ignores_signs():
+    """Over the integers a row and its negation get the same pivot key and
+    the same pivot column (`int.bit_length` ignores the sign), so negating
+    rows leaves the exact pivot order unchanged."""
+    row = {0: -6, 3: 5, 7: -1, 9: 12}
+    neg = {c: -v for c, v in row.items()}
+    assert linalg._pivot_key(row, 4, 0) == linalg._pivot_key(neg, 4, 0) == (4, 1, 4)
+    col_rows = {0: {1, 2}, 3: {1}, 7: {1, 2}, 9: {1}}
+    assert linalg._pick_pivot_col(row, col_rows, 0) == linalg._pick_pivot_col(neg, col_rows, 0) == 3
+    rng = random.Random(20261020)
+    vecs = support.random_sparse(rng, 9, 12)
+    flipped = [{c: -v for c, v in vec.items()} if i % 2 else vec for i, vec in enumerate(vecs)]
+    assert pivot_columns(flipped) == pivot_columns(vecs)
+
+
 def test_reduce_full_scale_property():
     """On seeded random integer spans, some with entries that are multiples
     of p0*p1, each held both as an echelon grown by `add` and as one built

@@ -11,7 +11,7 @@ import tables
 from koszulspec import koszul, linalg, polespec
 from koszulspec.decomp import AssumptionFailure, build_invariant_table
 from koszulspec.koszul import KoszulWindow, assumption_evidence
-from koszulspec.linalg import IntEchelon, ModularSpan, kernel_int_columns
+from koszulspec.linalg import IntEchelon, ModularSpan, kernel_int_columns, rank_exact_rows
 from koszulspec.polespec import (
     BoundViolation,
     PoleSpectrum,
@@ -100,58 +100,77 @@ def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
 
 
 def test_one_echelon_and_one_elimination_per_stage_one_degree(monkeypatch):
-    """Stage 1 builds one IntEchelon per degree, the relations, and picks
-    the generators that complete the boundaries with one pivot_columns
-    elimination per degree that has both cycles and boundaries."""
+    """Stage 1 builds one IntEchelon per degree, the relations, and runs one
+    kernel elimination per degree, on the (n-1, k-d) columns off the
+    boundary pivots P: the block's columns less the boundary rank, and at
+    a cycled degree exactly nu(k) kernel vectors, the generators.  P comes
+    from one pivot_columns of the (n-2, k-2d) columns off the pivots of the
+    (n-3, k-3d) block, so each nonempty lower block is eliminated once."""
     win = KoszulWindow(support.poly("6*x*y*z + 10*x*y*w + 15*x*z*w + 30*y*z*w", support.VARS4), k_max=12)
+    ref = KoszulWindow(win.f, k_max=12)
     n, d, K = win.n, win.d, win.k_max
-    assert [win.mu(k) for k in range(K + 1)] and [win.nu(k) for k in range(K + 1)]
-    both = [
-        k
-        for k in range(2 * d, K + 1)
-        if len(win.wedge_columns(n - 1, k - d)) > win.rank_wedge(n - 1, k - d)
-        and win.wedge_columns(n - 2, k - 2 * d)
-    ]
-    assert both
-    echelons, eliminated = [], []
-    real_init, real_pivots = IntEchelon.__init__, polespec.pivot_columns
+    echelons, kernels, eliminated = [], [], []
+    real_init, real_kernel, real_pivots = IntEchelon.__init__, polespec.kernel_int_columns, polespec.pivot_columns
 
     def echelon(self):
         echelons.append(self)
         real_init(self)
+
+    def kernel(columns):
+        ker = real_kernel(columns)
+        kernels.append((columns, ker))
+        return ker
 
     def pivots(rows):
         eliminated.append(rows)
         return real_pivots(rows)
 
     monkeypatch.setattr(IntEchelon, "__init__", echelon)
+    monkeypatch.setattr(polespec, "kernel_int_columns", kernel)
     monkeypatch.setattr(polespec, "pivot_columns", pivots)
     state = SubquotientState(win)
+    monkeypatch.undo()
     assert [id(e) for e in echelons] == [id(state.rel[k]) for k in range(K + 1)]
-    assert len(eliminated) == len(both)
+    assert len(kernels) == K + 1
+    for k, (columns, ker) in enumerate(kernels):
+        block = win.wedge_columns(n - 1, k - d)
+        assert len(columns) == len(block) - ref.rank_wedge(n - 2, k - 2 * d), k
+        assert {id(c) for c in columns} <= {id(c) for c in block}
+        assert len(ker) == ref.nu(k) == state.n_dim(k), k
+    assert sum(1 for _, ker in kernels if ker) == 5
+    lower = [k for k in range(K + 1) for j in (2, 3) if win.wedge_columns(n - j, k - j * d)]
+    assert len(eliminated) == len(lower) == 8
 
 
 def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
-    """The well-definedness guard reduces D b only for the boundaries at
-    the pivot rows of the generator elimination, a basis of the boundary
-    span: one reduction per dimension (361 here, of 420 boundary columns).
-    By linearity that is the whole check, so a derivative whose sign is
-    wrong on one index-set block is still caught."""
+    """The well-definedness guard checks D b only for the boundaries of a
+    basis, those at the boundary pivots: one check per dimension (361
+    here, of 420 boundary columns).  Each b = df ^ eta passes by the exact
+    Leibniz identity D(df ^ eta) = -df ^ D(eta), which puts D b in the
+    relations without reducing it (no `contains` call).  By linearity that
+    is the whole check, so a derivative whose sign is wrong on one
+    index-set block breaks the identity, falls back to the reduction and
+    is still caught."""
     win = KoszulWindow(support.poly("6*x*y*z + 10*x*y*w + 15*x*z*w + 30*y*z*w", support.VARS4), k_max=12)
     n, d, K = win.n, win.d, win.k_max
     cycled = [k for k in range(d, K + 1) if len(win.wedge_columns(n - 1, k - d)) > win.rank_wedge(n - 1, k - d)]
     dims = sum(win.rank_wedge(n - 2, k - 2 * d) for k in cycled)
     columns = sum(len(win.wedge_columns(n - 2, k - 2 * d)) for k in cycled if k >= 2 * d)
-    real = IntEchelon.contains
-    reduced = []
+    real_contains, real_leibniz = IntEchelon.contains, polespec._leibniz
+    reduced, checked = [], []
 
     def contains(self, vec):
         reduced.append(vec)
-        return real(self, vec)
+        return real_contains(self, vec)
+
+    def leibniz(*args):
+        checked.append(args)
+        return real_leibniz(*args)
 
     monkeypatch.setattr(IntEchelon, "contains", contains)
+    monkeypatch.setattr(polespec, "_leibniz", leibniz)
     SubquotientState(win)
-    assert (len(reduced), dims, columns) == (361, 361, 420)
+    assert (len(checked), len(reduced), dims, columns) == (361, 0, 361, 420)
 
     win = KoszulWindow(support.poly("x*y*z", support.VARS3))
     real_deriv = win.derivative_columns
@@ -163,6 +182,40 @@ def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
     monkeypatch.setattr(win, "derivative_columns", flipped)
     with pytest.raises(WellDefinednessViolation):
         SubquotientState(win)
+    assert reduced
+
+
+@pytest.mark.parametrize(
+    "label, k_max",
+    [
+        ("x3y2+x2y3", None),
+        ("x3y", None),
+        ("twoa3", None),
+        ("fourlines", None),
+        ("nonwh", None),
+        ("ts_4_4_2", 13),
+        ("cayley", 12),
+    ],
+)
+def test_stage_one_against_the_full_blocks(label, k_max):
+    """Oracle for stage 1 built from the boundaries up, at every degree
+    against the full (n-1, k-d) block A: the recorded rank is the exact
+    rank of A, every generator z has A z = 0, and the boundaries with the
+    generators span as much as the whole kernel of A, the generators
+    independent modulo the boundaries."""
+    win = KoszulWindow(support.corpus_poly(label), k_max=k_max)
+    state = SubquotientState(win)
+    n, d = win.n, win.d
+    for k in range(win.k_max + 1):
+        m = k - d
+        cols = win.wedge_columns(n - 1, m)
+        if m >= n - 1:
+            assert win._rank[(n - 1, m)] == rank_exact_rows(cols), k
+        reps = [g.rep for g in state.gens.get(k, ())]
+        assert not any(polespec._combine(cols, z) for z in reps), k
+        bnd = win.wedge_columns(n - 2, m - d)
+        kernel = len(kernel_int_columns(cols))
+        assert rank_exact_rows(bnd + reps) == kernel == rank_exact_rows(bnd) + len(reps), k
 
 
 @pytest.mark.parametrize(
@@ -176,7 +229,7 @@ def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
 def test_tower_window_reads_its_ranks_from_stage_one(monkeypatch, text, variables, k_max):
     """On the tower window stage 1 records every (n-1, m) and (n-2, m) rank
     exactly, before the certificate reads them: no block is ranked modulo
-    p0*p1 and no (n-3, m) block is eliminated at all; the certificate's one
+    p0*p1, not even an (n-3, m) block; the certificate's one
     ModularSpan, of the image in its degree, is the only modular work, and
     nothing is promoted to an exact rank afterwards.  Every recorded
     (n-2, m) rank agrees with exactness."""
