@@ -15,9 +15,9 @@ no Fractions appear in inner loops, and ties go to the smaller coefficient
 bit length.  Modulo m, a prime or N (below), each pivot row is scaled to 1
 at its pivot index, and ties go to the smaller index.  Kernels and
 solutions are read off a fraction-free back-reduction of the exact pivot
-rows, a kernel vector only when it is first asked for.  A span, exact
-(`IntEchelon`) or modulo m (`ModularSpan`), keeps its pivot rows in the
-order they were added and reduces a vector only by the pivots it hits.
+rows.  A span, exact (`IntEchelon`) or modulo m (`ModularSpan`), keeps its
+pivot rows in the order they were added and reduces a vector only by the
+pivots it hits.
 
 Ranks are taken modulo two fixed word-size primes p0, p1 first, in one
 elimination modulo their product N = p0*p1; the exact path runs when that
@@ -32,7 +32,6 @@ not a unit mod N (divisible by exactly one prime) raises
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -277,64 +276,35 @@ def _lowest_terms(num: int, den: int) -> tuple[int, int]:
     return (-num, -den) if den < 0 else (num, den)
 
 
-class _Kernel(Mapping):
-    """Read-only kernel of `kernel_int_columns`: the free columns are its
-    keys, and each vector is read off the back-reduced pivot rows, in one
-    pass over them, the first time it is asked for, then cached.  `in`,
-    `len` and iterating over the keys read off no vector."""
+def kernel_int_columns(columns: list[SparseVec]) -> dict[int, SparseVec]:
+    """Exact kernel of the matrix with the given columns; vectors indexed by
+    column position.
 
-    __slots__ = ("_vecs", "_rows")
-
-    def __init__(self, ncols: int, pivots: list[tuple[int, int]], rows: list[SparseVec]):
-        self._rows = [(c, rows[i]) for c, i in pivots]
-        pivot_cols = {c for c, _ in pivots}
-        self._vecs: dict[int, SparseVec | None] = dict.fromkeys(
-            f for f in range(ncols) if f not in pivot_cols
-        )
-
-    def __getitem__(self, f: int) -> SparseVec:
-        vec = self._vecs[f]
-        if vec is None:
-            vec = self._vecs[f] = self._read_off(f)
-        return vec
-
-    def _read_off(self, f: int) -> SparseVec:
-        terms = [(c, *_lowest_terms(-row[f], row[c])) for c, row in self._rows if f in row]
+    One vector per free column f, keyed by f in increasing order: the kernel
+    vector that is zero on every other free column, as a primitive sparse
+    integer vector with keys in increasing order and its leading entry
+    positive.  Each is read off the fraction-free back-reduction of the
+    pivot rows: with lowest-terms x[c] = -row[f] / row[c] over the pivot
+    rows that touch f, scaling by the lcm L of their denominators
+    (x[f] = L) gives a primitive integer vector.
+    """
+    pivots, reduced, _ = _eliminate(list(_rows_of(columns).values()))
+    _back_reduce(pivots, reduced)
+    rows = [(c, reduced[i]) for c, i in pivots]
+    pivot_cols = {c for c, _ in pivots}
+    out: dict[int, SparseVec] = {}
+    for f in range(len(columns)):
+        if f in pivot_cols:
+            continue
+        terms = [(c, *_lowest_terms(-row[f], row[c])) for c, row in rows if f in row]
         L = lcm(*(den for _, _, den in terms))
         vec = {c: num * (L // den) for c, num, den in terms}
         vec[f] = L
         vec = dict(sorted(vec.items()))
         if next(iter(vec.values())) < 0:
             vec = {c: -v for c, v in vec.items()}
-        return vec
-
-    def __contains__(self, f) -> bool:
-        return f in self._vecs
-
-    def __iter__(self):
-        return iter(self._vecs)
-
-    def __len__(self) -> int:
-        return len(self._vecs)
-
-
-def kernel_int_columns(columns: list[SparseVec]) -> Mapping[int, SparseVec]:
-    """Exact kernel of the matrix with the given columns; vectors indexed by
-    column position, as a read-only mapping.
-
-    One vector per free column f, keyed by f in increasing order: the kernel
-    vector that is zero on every other free column, as a primitive sparse
-    integer vector with keys in increasing order and its leading entry
-    positive.  The keys are known once the elimination and the
-    fraction-free back-reduction of the pivot rows have run; a vector is
-    read off those rows only when it is first asked for: with lowest-terms
-    x[c] = -row[f] / row[c] over the pivot rows that touch f, scaling by
-    the lcm L of their denominators (x[f] = L) gives a primitive integer
-    vector.
-    """
-    pivots, reduced, _ = _eliminate(list(_rows_of(columns).values()))
-    _back_reduce(pivots, reduced)
-    return _Kernel(len(columns), pivots, reduced)
+        out[f] = vec
+    return out
 
 
 def solve_into(

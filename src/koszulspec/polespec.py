@@ -90,19 +90,27 @@ class _Gen:
 class SubquotientState:
     """Mutable tower state over one degree window.
 
-    Per grading degree k it holds the relation echelon of M^(r)_k inside
-    top forms of degree k, the surviving kernel generators of N^(r)_k
-    (cycles of ambient degree k-d with their lift chains), and the lift
-    vectors whose derivatives already entered the relations (the adjustment
-    freedom for later lifts).  `stage` is the r of the differential the
-    current generator values realize.
+    Per grading degree k it holds the relations of M^(r)_k inside top forms
+    of degree k, the surviving kernel generators of N^(r)_k (cycles of
+    ambient degree k-d with their lift chains), and the lift vectors whose
+    derivatives already entered the relations (the adjustment freedom for
+    later lifts).  `stage` is the r of the differential the current
+    generator values realize.
+
+    The relations at k are kept as their exact rank, `rel_rank[k]`, which
+    is all `mu` reads, and as the independent columns stage 1 found; they
+    become an `IntEchelon` (`relations`) only when a reduction needs one.
+    A differential d^(r) maps N_k to M_{k-rd}, so on a window of top degree
+    K no span above K - d is ever built.
     """
 
     def __init__(self, win: KoszulWindow):
         self.win = win
         self.stage = 1
         self.gens: dict[int, list[_Gen]] = {}
-        self.rel: dict[int, IntEchelon] = {}
+        self.rel_rank: dict[int, int] = {}
+        self._indep: dict[int, list[SparseVec]] = {}
+        self._rel: dict[int, IntEchelon] = {}
         self.wlift: dict[int, list[SparseVec]] = {}
         self.image_dims: dict[tuple[int, int], int] = {}
         self.mu_hist: dict[int, list[int]] = {}
@@ -135,14 +143,11 @@ class SubquotientState:
             cols = win.wedge_columns(n - 1, m)
             off = [c for c in range(len(cols)) if c not in basis]
             cyc = kernel_int_columns([cols[c] for c in off])
-            rel = IntEchelon()
-            rel.add_many(cols[c] for i, c in enumerate(off) if i not in cyc)
-            self.rel[k] = rel
+            self._indep[k] = [cols[c] for i, c in enumerate(off) if i not in cyc]
+            self.rel_rank[k] = len(off) - len(cyc)
             self.wlift[k] = []
-            if rel.rank != len(off) - len(cyc):
-                raise RuntimeError(f"rank disagreement at degree {k}")
             # the certificate reads these exact ranks, not eliminating again
-            win.record_exact_rank(n - 1, m, rel.rank)
+            win.record_exact_rank(n - 1, m, self.rel_rank[k])
             if not (basis or cyc):
                 continue
             deriv = win.derivative_columns(n - 1, m)
@@ -154,7 +159,7 @@ class SubquotientState:
             lower = win.derivative_columns(n - 2, m - d)
             for i in basis.values():
                 b, d_eta = bnd[etas[i]], lower[etas[i]]
-                if not _leibniz(deriv, b, image, d_eta) and not self.rel[m].contains(_combine(deriv, b)):
+                if not _leibniz(deriv, b, image, d_eta) and not self.relations(m).contains(_combine(deriv, b)):
                     raise WellDefinednessViolation(
                         f"derivative of a boundary escapes relations at degree {m}"
                     )
@@ -170,8 +175,7 @@ class SubquotientState:
     # -- row snapshots -----------------------------------------------------------
 
     def _mu_row(self) -> list[int]:
-        win = self.win
-        return [win.dim(win.n, k) - self.rel[k].rank for k in range(win.k_max + 1)]
+        return [self.m_dim(k) for k in range(self.win.k_max + 1)]
 
     def _nu_row(self) -> list[int]:
         return [len(self.gens.get(k, ())) for k in range(self.win.k_max + 1)]
@@ -179,10 +183,25 @@ class SubquotientState:
     # -- dimensions ------------------------------------------------------------
 
     def m_dim(self, k: int) -> int:
-        return self.win.dim(self.win.n, k) - self.rel[k].rank
+        return self.win.dim(self.win.n, k) - self.rel_rank[k]
 
     def n_dim(self, k: int) -> int:
         return len(self.gens.get(k, ()))
+
+    # -- relations -------------------------------------------------------------
+
+    def relations(self, k: int) -> IntEchelon:
+        """The relation span at grading k, built by `add_many` over the
+        independent columns stage 1 kept the first time a reduction needs
+        it, and checked against the rank stage 1 proved."""
+        rel = self._rel.get(k)
+        if rel is None:
+            rel = IntEchelon()
+            rel.add_many(self._indep.pop(k))
+            if rel.rank != self.rel_rank[k]:
+                raise RuntimeError(f"rank disagreement at degree {k}")
+            self._rel[k] = rel
+        return rel
 
     # -- stage passes ---------------------------------------------------------
 
@@ -205,7 +224,8 @@ class SubquotientState:
             # value space is zero from here on; the classes survive untouched
             return 0
         values = [g.value for g in glist]
-        kerco, residuals = combo_kernel(values, self.rel[j])
+        rel = self.relations(j)
+        kerco, residuals = combo_kernel(values, rel)
         added = len(residuals)
         self.image_dims[(r, j)] = added
         new_gens: list[_Gen] = []
@@ -233,7 +253,7 @@ class SubquotientState:
         # derivatives become relations, both only for later stages; the
         # independent residuals span the same relations as the values
         self.wlift[j].extend(g.lift for g in glist)
-        self.rel[j].add_many(residuals)
+        self.rel_rank[j] += rel.add_many(residuals)
         if new_gens:
             self.gens[k] = new_gens
         else:

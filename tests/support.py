@@ -283,7 +283,7 @@ def reference_rank(win, j, m):
 
 
 def reference_kernel(columns):
-    """The eager read-off `kernel_int_columns` replaced: after the same
+    """A second read-off of `kernel_int_columns`: after the same
     elimination and back-reduction, every kernel vector is read off at
     once, through an index of the pivot rows touching each free column."""
     pivots, reduced, _ = _eliminate(list(_rows_of(columns).values()))

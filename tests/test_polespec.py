@@ -46,14 +46,18 @@ def test_stage_one_state_matches_window():
     ],
 )
 def test_stage_one_reads_off_only_the_generators(text, variables, k_max, monkeypatch):
-    """Stage 1 reads only the generators off its kernels: one vector per
-    stage-1 generator, none for the cycles the boundaries account for."""
-    reads = []
-    real = linalg._Kernel._read_off
-    monkeypatch.setattr(linalg._Kernel, "_read_off", lambda ker, f: reads.append(f) or real(ker, f))
-    state = SubquotientState(KoszulWindow(support.poly(text, variables), k_max=k_max))
+    """Stage 1's kernels hold only the generators: their vectors number
+    sum(nu), one per stage-1 generator, none for the cycles the boundaries
+    account for."""
+    win = KoszulWindow(support.poly(text, variables), k_max=k_max)
+    ref = KoszulWindow(win.f, k_max=k_max)
+    vectors = []
+    real = polespec.kernel_int_columns
+    monkeypatch.setattr(polespec, "kernel_int_columns", lambda cols: vectors.append(len(ker := real(cols))) or ker)
+    state = SubquotientState(win)
     monkeypatch.undo()
-    assert 0 < len(reads) == sum(state.nu_hist[1])
+    nu = [ref.nu(k) for k in range(win.k_max + 1)]
+    assert 0 < sum(vectors) == sum(state.nu_hist[1]) == sum(nu)
 
 
 @pytest.mark.parametrize(
@@ -77,8 +81,8 @@ def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
     n, d = win.n, win.d
     for k in range(win.k_max + 1):
         cols = win.wedge_columns(n - 1, k - d)
-        assert all(state.rel[k].contains(c) for c in cols)
-        assert state.rel[k].rank == len(cols) - len(kernel_int_columns(cols))
+        assert all(state.relations(k).contains(c) for c in cols)
+        assert state.relations(k).rank == state.rel_rank[k] == len(cols) - len(kernel_int_columns(cols))
     for k in range(d + n - 1, win.k_max + 1):
         m = k - d
         wedge = win.wedge_columns(n - 1, m)
@@ -96,25 +100,27 @@ def test_stage_one_generators_complete_the_boundaries(text, variables, k_max):
     committed = {k - d: [g.value for g in gens] for k, gens in state.gens.items()}
     state.finish_stage()
     for j, values in committed.items():
-        assert all(state.rel[j].contains(v) for v in values), j
+        assert all(state.relations(j).contains(v) for v in values), j
+        assert state.relations(j).rank == state.rel_rank[j], j
 
 
-def test_one_echelon_and_one_elimination_per_stage_one_degree(monkeypatch):
-    """Stage 1 builds one IntEchelon per degree, the relations, and runs one
-    kernel elimination per degree, on the (n-1, k-d) columns off the
-    boundary pivots P: the block's columns less the boundary rank, and at
-    a cycled degree exactly nu(k) kernel vectors, the generators.  P comes
-    from one pivot_columns of the (n-2, k-2d) columns off the pivots of the
-    (n-3, k-3d) block, so each nonempty lower block is eliminated once."""
+def test_one_elimination_per_degree_and_spans_only_where_differentials_land(monkeypatch):
+    """Stage 1 runs one kernel elimination per degree, on the (n-1, k-d)
+    columns off the boundary pivots P: the block's columns less the
+    boundary rank, and at a cycled degree exactly nu(k) kernel vectors, the
+    generators.  P comes from one pivot_columns of the (n-2, k-2d) columns
+    off the pivots of the (n-3, k-3d) block, so each nonempty lower block
+    is eliminated once.  Stage 1 builds no relation span; the tower builds
+    one IntEchelon per degree a differential reduces by, only there."""
     win = KoszulWindow(support.poly("6*x*y*z + 10*x*y*w + 15*x*z*w + 30*y*z*w", support.VARS4), k_max=12)
     ref = KoszulWindow(win.f, k_max=12)
     n, d, K = win.n, win.d, win.k_max
     echelons, kernels, eliminated = [], [], []
-    real_init, real_kernel, real_pivots = IntEchelon.__init__, polespec.kernel_int_columns, polespec.pivot_columns
+    real_echelon, real_kernel, real_pivots = polespec.IntEchelon, polespec.kernel_int_columns, polespec.pivot_columns
 
-    def echelon(self):
-        echelons.append(self)
-        real_init(self)
+    def echelon():
+        echelons.append(real_echelon())
+        return echelons[-1]
 
     def kernel(columns):
         ker = real_kernel(columns)
@@ -125,21 +131,81 @@ def test_one_echelon_and_one_elimination_per_stage_one_degree(monkeypatch):
         eliminated.append(rows)
         return real_pivots(rows)
 
-    monkeypatch.setattr(IntEchelon, "__init__", echelon)
+    monkeypatch.setattr(polespec, "IntEchelon", echelon)
     monkeypatch.setattr(polespec, "kernel_int_columns", kernel)
     monkeypatch.setattr(polespec, "pivot_columns", pivots)
     state = SubquotientState(win)
+    assert echelons == []
+    while state.stage * d <= K - n and state.finish_stage():
+        pass
     monkeypatch.undo()
-    assert [id(e) for e in echelons] == [id(state.rel[k]) for k in range(K + 1)]
+    assert [id(e) for e in echelons] == [id(state.relations(k)) for k in range(5, 10)]
+    assert sorted(state._rel) == list(range(5, 10))
     assert len(kernels) == K + 1
     for k, (columns, ker) in enumerate(kernels):
         block = win.wedge_columns(n - 1, k - d)
         assert len(columns) == len(block) - ref.rank_wedge(n - 2, k - 2 * d), k
         assert {id(c) for c in columns} <= {id(c) for c in block}
-        assert len(ker) == ref.nu(k) == state.n_dim(k), k
+        assert len(ker) == ref.nu(k) == state.nu_hist[1][k], k
     assert sum(1 for _, ker in kernels if ker) == 5
     lower = [k for k in range(K + 1) for j in (2, 3) if win.wedge_columns(n - j, k - j * d)]
     assert len(eliminated) == len(lower) == 8
+
+
+def test_relation_spans_are_built_only_where_a_differential_lands(monkeypatch):
+    """d^(r) maps N_k to M_{k-rd}, so the full tower builds no relation
+    span above K - d: on x^2 y^2 + z^4 + w^4 at K = 17 exactly the degrees
+    4 to 13 (the Cayley window is pinned with the eliminations above)."""
+    states = []
+    real = SubquotientState._build
+    monkeypatch.setattr(SubquotientState, "_build", lambda self: states.append(self) or real(self))
+    win = KoszulWindow(support.corpus_poly("ts_4_4_2"), k_max=17)
+    pole_spectrum(win)
+    [state] = states
+    assert sorted(state._rel) == list(range(4, 14))
+    assert 13 == win.k_max - win.d
+
+
+class _EagerState(SubquotientState):
+    """Every relation span built in stage 1, as before spans were lazy."""
+
+    def _build(self):
+        super()._build()
+        for k in range(self.win.k_max + 1):
+            self.relations(k)
+
+
+@pytest.mark.parametrize(
+    "label, k_max",
+    [("x2y2", None), ("x3y2+x2y3", None), ("twoa3", None), ("nonwh", None), ("cayley", 12), ("ts_4_4_2", 13)],
+)
+def test_lazy_relation_spans_match_spans_built_up_front(label, k_max, monkeypatch):
+    """Oracle for the lazy spans: the tower with every span built in stage 1
+    has the same rows and image dimensions, lift solves (`nonwh`) and
+    n = 2, 3, 4 among them."""
+    lazy = polespec._run_tower(KoszulWindow(support.corpus_poly(label), k_max=k_max))
+    monkeypatch.setattr(polespec, "SubquotientState", _EagerState)
+    eager = polespec._run_tower(KoszulWindow(support.corpus_poly(label), k_max=k_max))
+    assert (lazy.mu_hist, lazy.nu_hist, lazy.image_dims) == (eager.mu_hist, eager.nu_hist, eager.image_dims)
+    assert (lazy.r_star, lazy.truncated, lazy.trusted_top) == (eager.r_star, eager.truncated, eager.trusted_top)
+
+
+def test_a_built_span_whose_rank_disagrees_raises():
+    """A span is checked against stage 1's exact rank when it is built: kept
+    columns that are not independent, here one repeated in place of
+    another, raise, whether the span is asked for directly or by a
+    differential landing in its degree."""
+    win = support.corpus_window("xyz")
+    state = SubquotientState(win)
+    k = 9 - win.d
+    assert len(state._indep[k]) > 1
+    state._indep[k][-1] = state._indep[k][0]
+    with pytest.raises(RuntimeError, match=f"rank disagreement at degree {k}"):
+        state.relations(k)
+    state = SubquotientState(support.corpus_window("xyz"))
+    state._indep[k][-1] = state._indep[k][0]
+    with pytest.raises(RuntimeError, match=f"rank disagreement at degree {k}"):
+        state.advance_degree(9)
 
 
 def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
@@ -350,10 +416,10 @@ def test_d1_rank_relations_grow_by_rank():
     k = 9
     m = k - win.d
     state = SubquotientState(win)
-    assert state.rel[m].rank == win.rank_wedge(win.n - 1, m - win.d)
+    assert state.rel_rank[m] == win.rank_wedge(win.n - 1, m - win.d)
     rank = state.advance_degree(k)
     assert rank > 0
-    assert state.rel[m].rank == win.rank_wedge(win.n - 1, m - win.d) + rank
+    assert state.rel_rank[m] == state.relations(m).rank == win.rank_wedge(win.n - 1, m - win.d) + rank
     assert state.image_dims[(1, m)] == rank
 
 
@@ -456,6 +522,20 @@ def test_frozen_example_towers():
         prof = torsion_profile(win)
         assert prof.degenerate == data["degenerate"]
         assert not prof.truncated
+
+
+def test_spectrum_mass_gives_the_total_milnor_number():
+    """Oracle from topology: the multiplicities of a complete Sp_P sum to
+    (d-1)^n - d * sum_z mu_z, mu_z the Milnor numbers of the singular
+    points (A. Dimca, Singularities and Topology of Hypersurfaces, ch. 4-5).
+    Every singular point here is weighted homogeneous, so sum_z mu_z is
+    tau (K. Saito, 1971): 9 = 3*3, 12 = 4*3, 24 = 4*6, 24 = 4*6, 8 = 4*2
+    and 0 on the smooth cubic."""
+    for data in [*tables.FIVE_EXAMPLES, tables.FERMAT_CUBIC]:
+        win = support.window(data["text"], data["variables"])
+        sp = pole_spectrum(win)
+        assert not sp.truncated, data["text"]
+        assert (win.d - 1) ** win.n - sp.total_mass == win.d * data["tau"], data["text"]
 
 
 def test_smooth_input_stabilizes_immediately():
