@@ -1,6 +1,12 @@
 """Command-line front end: aligned tables, spectrum listings, identity
 checks, and an append-only JSON-lines catalog of runs.
 
+`run_invariants` and `run_spectrum` compute a run once and return it twice,
+as a JSON record and as text lines; `check --catalog` replays records
+through the same two functions.  `check --corpus` and `check --catalog`
+share one batch loop: a bad line gets a FAIL or ERROR line with its exit
+code, the run goes on, and the highest code seen is the result.
+
 Exit codes: 0 success, 2 usage or input parse error, 3 window or
 genericity failure, 4 violated identity/bound or catalog mismatch,
 5 catalog I/O failure.  Timing measurements go to standard error so
@@ -13,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -32,11 +39,12 @@ from .decomp import (
     verify_corollaries,
 )
 from .koszul import KoszulWindow
-from .poly import HomogeneousPoly, parse_poly, serialize_poly
+from .poly import HomogeneousPoly, parse_poly
 from .polespec import (
     BoundViolation,
     LiftFailure,
     PoleSpectrum,
+    TorsionProfile,
     WellDefinednessViolation,
     check_exponent_bounds,
     pole_spectrum,
@@ -45,11 +53,15 @@ from .polespec import (
 )
 
 
+class CatalogMismatch(Exception):
+    """A catalog record differs from a fresh run of the same command."""
+
+
 # exception types -> exit code, in the order they are matched
 _EXIT_CODES = (
     ((ValueError, KeyError), 2),
     ((NotStabilizedError, AssumptionFailure), 3),
-    ((IdentityViolation, BoundViolation, WellDefinednessViolation, LiftFailure), 4),
+    ((IdentityViolation, BoundViolation, WellDefinednessViolation, LiftFailure, CatalogMismatch), 4),
     ((OSError,), 5),
 )
 _HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
@@ -123,60 +135,35 @@ def _table_rows(tab: InvariantTable) -> list[tuple[str, list[int]]]:
     ]
 
 
-def _spectrum_lines(sp: PoleSpectrum, d: int) -> list[str]:
-    out = ["Sp_P:"]
-    for x, m in sp.support:
-        out.append(f"{int(x * d)} {x} {m:+d}")
-    return out
+def _head(first: str, tab: InvariantTable) -> list[str]:
+    """The input line, then the window, the seed ("-" for a closed form),
+    tau and the type."""
+    return [
+        first,
+        f"n: {tab.n}  d: {tab.d}  k_max: {tab.k_max}",
+        f"seed: {'-' if tab.seed is None else tab.seed}",
+        f"tau: {tab.tau}  type: {tab.type_flag}",
+    ]
 
 
-def _print_spectrum_block(
-    out: list[str],
-    tab: InvariantTable,
-    mu2: list[int],
-    nu2: list[int],
-    sp: PoleSpectrum,
-    profile_entries: dict[tuple[int, int], int],
-    degenerate: bool,
-) -> None:
-    k_hi = tab.k_max - tab.d
-    rows = _table_rows(tab) + [("mu(2)", mu2[: k_hi + 1]), ("nu(2)", nu2[: k_hi + 1])]
-    out.append(f"tau: {tab.tau}  type: {tab.type_flag}")
-    out.append(render_rows(rows, k_hi))
-    out.append(f"stabilization stage: {sp.stabilization_stage}")
-    out.append(f"truncated: {'yes' if sp.truncated else 'no'}")
-    out.append(f"E2: {'degenerate' if degenerate else 'non-degenerate'}")
-    if profile_entries:
-        out.append("torsion profile:")
-        for (r, k), v in sorted(profile_entries.items()):
-            out.append(f"stage {r} degree {k}: {v}")
-    else:
-        out.append("torsion profile: none")
-    out.extend(_spectrum_lines(sp, tab.d))
+# -- runs: one record and one text each ----------------------------------------
+
+# (spectrum, torsion profile, stage-2 mu row, stage-2 nu row)
+Tower = tuple[PoleSpectrum, TorsionProfile, list[int], list[int]]
 
 
-# -- records and catalog -------------------------------------------------------
-
-
-def run_record(
-    command: str,
-    input_text: str | None,
-    variables: list[str] | None,
-    binary_form: str | None,
-    tab: InvariantTable,
-    identities_ok: bool,
-    defect_nonnegative: bool,
-    sp: PoleSpectrum | None = None,
-    profile=None,
-    mu2: list[int] | None = None,
-    nu2: list[int] | None = None,
-) -> dict:
+def run_record(command: str, args, tab: InvariantTable, tower: Tower | None = None) -> dict:
+    """The JSON record of one `invariants` or `spectrum` run."""
+    report = verify_corollaries(tab)
+    sp, profile, mu2, nu2 = tower or (None, None, None, None)
+    # a closed-form run records its factored form in place of an input
+    closed = args.binary_form if command == "spectrum" else None
     return {
         "engine_version": __version__,
         "command": command,
-        "input": input_text,
-        "variables": variables,
-        "binary_form": binary_form,
+        "input": None if closed else args.poly,
+        "variables": None if closed else _parse_vars(args.vars),
+        "binary_form": closed or None,
         "n": tab.n,
         "d": tab.d,
         "seed": tab.seed,
@@ -206,12 +193,73 @@ def run_record(
         },
         "verdicts": {
             "assumptions": True,
-            "identities": identities_ok,
+            "identities": report.ok,
             "type": tab.type_flag,
             "e2_degenerate": None if profile is None else profile.degenerate,
-            "defect_sides_nonnegative": defect_nonnegative,
+            "defect_sides_nonnegative": report.defect_sides_nonnegative,
         },
     }
+
+
+def _engine_table(args) -> tuple[HomogeneousPoly, InvariantTable]:
+    f = parse_poly(args.poly, _parse_vars(args.vars))
+    t0 = time.perf_counter()
+    tab = build_invariant_table(f, k_max=args.kmax, seed=args.seed)
+    _timed("table", t0)
+    return f, tab
+
+
+def _tower(f: HomogeneousPoly, tab: InvariantTable) -> Tower:
+    """The tower of `f` over the table's degrees, on a window of its own
+    (the table keeps the window it built)."""
+    win = KoszulWindow(f, tab.k_max)
+    sp, profile = pole_spectrum(win), torsion_profile(win)
+    mu2, nu2 = stage_snapshot(win, 2)
+    k_hi = tab.k_max - tab.d
+    return sp, profile, mu2[: k_hi + 1], nu2[: k_hi + 1]
+
+
+def run_invariants(args) -> tuple[dict, list[str]]:
+    _, tab = _engine_table(args)
+    record = run_record("invariants", args, tab)
+    nonnegative = record["verdicts"]["defect_sides_nonnegative"]
+    return record, _head(f"f: {args.poly}", tab) + [
+        render_rows(_table_rows(tab), min(tab.k_max, tab.n * tab.d + 1)),
+        f"defect sides nonnegative: {'yes' if nonnegative else 'no'}",
+    ]
+
+
+def run_spectrum(args) -> tuple[dict, list[str]]:
+    if args.binary_form:
+        fac = parse_binary_form(args.binary_form)
+        tab = binary_invariant_table(fac, args.kmax if args.kmax is not None else 3 * fac.d)
+        # closed-form binary towers always settle at stage two with no torsion
+        tower = (
+            binary_pole_spectrum(fac).spectrum,
+            TorsionProfile({}, degenerate=True, truncated=False),
+            *binary_stage2_rows(fac, tab.k_max - tab.d),
+        )
+        head = _head(f"binary form: {args.binary_form}", tab)
+    else:
+        if not args.poly:
+            raise ValueError("need a polynomial or --binary-form")
+        f, tab = _engine_table(args)
+        t0 = time.perf_counter()
+        tower = _tower(f, tab)
+        _timed("tower", t0)
+        head = _head(f"f: {args.poly}", tab)
+    sp, profile, mu2, nu2 = tower
+    rows = _table_rows(tab) + [("mu(2)", mu2), ("nu(2)", nu2)]
+    return run_record("spectrum", args, tab, tower), head + [
+        render_rows(rows, tab.k_max - tab.d),
+        f"stabilization stage: {sp.stabilization_stage}",
+        f"truncated: {'yes' if sp.truncated else 'no'}",
+        f"E2: {'degenerate' if profile.degenerate else 'non-degenerate'}",
+        "torsion profile:" if profile.entries else "torsion profile: none",
+        *(f"stage {r} degree {k}: {v}" for (r, k), v in sorted(profile.entries.items())),
+        "Sp_P:",
+        *(f"{int(x * tab.d)} {x} {m:+d}" for x, m in sp.support),
+    ]
 
 
 def catalog_append(record: dict, path: str) -> None:
@@ -222,142 +270,17 @@ def catalog_append(record: dict, path: str) -> None:
         fh.write(line + "\n")
 
 
-def catalog_read(path: str) -> list[tuple[int, dict]]:
-    """(line number, record) for every non-blank line; a line that is not a
-    JSON object raises ValueError naming the line."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"catalog line {lineno}: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ValueError(f"catalog line {lineno}: not a JSON object")
-            records.append((lineno, rec))
-    return records
-
-
-# -- commands ------------------------------------------------------------------
-
-
-def _invariants_record(args) -> tuple[dict, InvariantTable]:
-    variables = _parse_vars(args.vars)
-    f = parse_poly(args.poly, variables)
-    t0 = time.perf_counter()
-    tab = build_invariant_table(f, k_max=args.kmax, seed=args.seed)
-    _timed("table", t0)
-    report = verify_corollaries(tab)
-    record = run_record(
-        "invariants",
-        args.poly,
-        variables,
-        None,
-        tab,
-        report.ok,
-        report.defect_sides_nonnegative,
-    )
-    return record, tab
-
-
-def cmd_invariants(args) -> int:
-    record, tab = _invariants_record(args)
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        out = [
-            f"f: {args.poly}",
-            f"n: {tab.n}  d: {tab.d}  k_max: {tab.k_max}",
-            f"seed: {tab.seed}",
-            f"tau: {tab.tau}  type: {tab.type_flag}",
-            render_rows(_table_rows(tab), min(tab.k_max, tab.n * tab.d + 1)),
-            f"defect sides nonnegative: {'yes' if record['verdicts']['defect_sides_nonnegative'] else 'no'}",
-        ]
-        print("\n".join(out))
+def cmd_run(args) -> int:
+    """`invariants` or `spectrum`: print the record or the text, and append
+    the record to the catalog."""
+    record, text = args.run(args)
+    print(json.dumps(record, sort_keys=True) if args.json else "\n".join(text))
     if args.catalog:
         catalog_append(record, args.catalog)
     return 0
 
 
-def _spectrum_engine_record(args) -> tuple[dict, list[str]]:
-    variables = _parse_vars(args.vars)
-    f = parse_poly(args.poly, variables)
-    t0 = time.perf_counter()
-    tab = build_invariant_table(f, k_max=args.kmax, seed=args.seed)
-    _timed("table", t0)
-    t0 = time.perf_counter()
-    win = KoszulWindow(f, tab.k_max)
-    sp = pole_spectrum(win)
-    profile = torsion_profile(win)
-    mu2, nu2 = stage_snapshot(win, 2)
-    _timed("tower", t0)
-    report = verify_corollaries(tab)
-    record = run_record(
-        "spectrum",
-        args.poly,
-        variables,
-        None,
-        tab,
-        report.ok,
-        report.defect_sides_nonnegative,
-        sp,
-        profile,
-        mu2[: tab.k_max - tab.d + 1],
-        nu2[: tab.k_max - tab.d + 1],
-    )
-    out = [f"f: {args.poly}", f"n: {tab.n}  d: {tab.d}  k_max: {tab.k_max}", f"seed: {tab.seed}"]
-    _print_spectrum_block(out, tab, mu2, nu2, sp, profile.entries, profile.degenerate)
-    return record, out
-
-
-def _spectrum_closed_record(args) -> tuple[dict, list[str]]:
-    fac = parse_binary_form(args.binary_form)
-    k_max = args.kmax if args.kmax is not None else 3 * fac.d
-    tab = binary_invariant_table(fac, k_max)
-    parts = binary_pole_spectrum(fac)
-    mu2, nu2 = binary_stage2_rows(fac, k_max - fac.d)
-    report = verify_corollaries(tab)
-    record = run_record(
-        "spectrum",
-        None,
-        None,
-        args.binary_form,
-        tab,
-        report.ok,
-        report.defect_sides_nonnegative,
-        parts.spectrum,
-        None,
-        mu2,
-        nu2,
-    )
-    # closed-form binary towers always settle at stage two with no torsion
-    record["torsion_profile"] = {"entries": [], "degenerate": True, "truncated": False}
-    record["verdicts"]["e2_degenerate"] = True
-    out = [
-        f"binary form: {args.binary_form}",
-        f"n: {tab.n}  d: {tab.d}  k_max: {tab.k_max}",
-        "seed: -",
-    ]
-    _print_spectrum_block(out, tab, mu2, nu2, parts.spectrum, {}, True)
-    return record, out
-
-
-def cmd_spectrum(args) -> int:
-    if args.binary_form:
-        record, out = _spectrum_closed_record(args)
-    else:
-        if not args.poly:
-            raise ValueError("need a polynomial or --binary-form")
-        record, out = _spectrum_engine_record(args)
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print("\n".join(out))
-    if args.catalog:
-        catalog_append(record, args.catalog)
-    return 0
+# -- check ---------------------------------------------------------------------
 
 
 def _check_one(
@@ -383,15 +306,15 @@ def _check_one(
     tab = build_invariant_table(f, k_max=kmax, seed=seed)
     report = verify_corollaries(tab)
     lines = [f"identities: ok (defect sides {'nonnegative' if report.defect_sides_nonnegative else 'mixed sign'})"]
-    # one tower window serves both the oracle comparison and the bounds
-    if binary_form is not None or alpha_min is not None:
-        win = KoszulWindow(f, tab.k_max)
     if nodal:
         check_nodal_vanishing(tab)
         lines.append("nodal vanishing: ok")
+    # one tower serves both the oracle comparison and the bounds
+    if binary_form is not None or alpha_min is not None:
+        sp, _, _, nu2 = _tower(f, tab)
     if binary_form is not None:
         oracle = binary_invariant_table(fac, tab.k_max)
-        sp, closed = pole_spectrum(win), binary_pole_spectrum(fac).spectrum
+        closed = binary_pole_spectrum(fac).spectrum
         # A truncated engine spectrum is known only up to its trusted top:
         # compare both supports there, and skip the two flags, which then
         # describe the window rather than the polynomial.
@@ -425,14 +348,8 @@ def _check_one(
         )
         lines.append(f"closed-form oracle: ok{note}")
     if alpha_min is not None:
-        sp = pole_spectrum(win)
-        _, nu2 = stage_snapshot(win, 2)
         bounds = check_exponent_bounds(
-            tab,
-            alpha_min,
-            local_exponents=exponents,
-            nu2=nu2[: tab.k_max - tab.d + 1],
-            spectrum=sp,
+            tab, alpha_min, local_exponents=exponents, nu2=nu2, spectrum=sp
         )
         lines.extend(f"bound: {c} ok" for c in bounds.checks)
     return lines
@@ -494,82 +411,88 @@ def _record_args(rec: dict) -> argparse.Namespace:
         vars=",".join(_variable_names(rec.get("variables"))) if engine else None,
         kmax=_optional_int(rec.get("k_max"), "k_max"),
         seed=_optional_int(rec.get("seed"), "seed", 0),
-        json=True,
-        catalog=None,
         binary_form=_optional_field(rec.get("binary_form"), "binary_form", (str,)),
     )
 
 
-def _verify_catalog(path: str) -> int:
-    records = catalog_read(path)
-    mismatches = 0
-    skipped = 0
-    for i, (lineno, rec) in enumerate(records):
-        if rec.get("engine_version") != __version__:
-            skipped += 1
-            continue
-        try:
-            ns = _record_args(rec)
-            if rec.get("command") == "invariants":
-                fresh, _ = _invariants_record(ns)
-            elif rec.get("binary_form"):
-                fresh, _ = _spectrum_closed_record(ns)
-            else:
-                fresh, _ = _spectrum_engine_record(ns)
-        except ValueError as exc:
-            raise ValueError(f"catalog line {lineno}: {exc}") from exc
-        bad = [k for k in fresh if k in rec and rec[k] != fresh[k]]
-        if bad:
-            mismatches += 1
-            print(f"record {i}: mismatch in {', '.join(sorted(bad))}")
-    print(
-        f"catalog: {len(records)} records, {len(records) - skipped - mismatches} verified, "
-        f"{skipped} skipped (other version), {mismatches} mismatches"
-    )
-    return 4 if mismatches else 0
-
-
-def _check_corpus(args) -> int:
-    """Identity suite on every corpus entry.  Each entry gets a PASS line, or
-    a FAIL (violated identity or bound) or ERROR line with its exit code; a
-    summary line follows, and the result is the highest exit code seen."""
-    with open(args.corpus, "r", encoding="utf-8") as fh:
+def _batch(path: str, run_entry, summary: str, label_by_input: bool = False) -> int:
+    """Run `run_entry` on the JSON object of every nonblank line of `path`
+    and count the outcome it returns.  A handled exception is a FAIL (exit
+    4) or ERROR line with its exit code, and the batch goes on.  A line is
+    named by its number, or by its input string if `label_by_input`.
+    Prints `summary` filled with the counts and returns the highest exit
+    code seen."""
+    with open(path, "r", encoding="utf-8") as fh:
         lines = [(lineno, line) for lineno, line in enumerate(fh, 1) if line.strip()]
     worst = 0
-    counts = {"FAIL": 0, "ERROR": 0}
+    counts = Counter(records=len(lines))
     for lineno, line in lines:
         label = f"line {lineno}"
         try:
             entry = json.loads(line)
             if not isinstance(entry, dict):
                 raise ValueError("not a JSON object")
-            text = entry.get("input")
-            if not isinstance(text, str):
-                raise ValueError("'input' must be a string")
-            label = text
-            checks = _check_one(
-                text,
-                _variable_names(entry.get("vars", args.vars)),
-                _optional_int(entry.get("k_max"), "k_max"),
-                _optional_int(entry.get("seed"), "seed", args.seed),
-                _optional_field(entry.get("nodal", False), "nodal", (bool,)),
-                _optional_rational(entry.get("alpha_min"), "alpha_min"),
-                _optional_exponents(entry.get("exponents"), "exponents"),
-                _optional_field(entry.get("binary_form"), "binary_form", (str,)),
-            )
+            if label_by_input and isinstance(entry.get("input"), str):
+                label = entry["input"]
+            outcome = run_entry(entry)
         except _HANDLED as exc:
             code = _exit_code(exc)
             outcome = "FAIL" if code == 4 else "ERROR"
-            counts[outcome] += 1
             worst = max(worst, code)
             print(f"{outcome} {label}: {exc} (exit {code})")
-        else:
-            print(f"PASS {label}: " + "; ".join(checks))
-    print(
-        f"corpus: {len(lines)} records, {len(lines) - counts['FAIL'] - counts['ERROR']} passed, "
-        f"{counts['FAIL']} failed, {counts['ERROR']} errors"
-    )
+        counts[outcome] += 1
+    print(summary.format_map(counts))
     return worst
+
+
+def _verify_catalog(path: str) -> int:
+    """Replay every record of this engine version; a field that differs
+    from the fresh run is a mismatch."""
+
+    def verify(rec: dict) -> str:
+        if rec.get("engine_version") != __version__:
+            return "skipped"
+        run = run_invariants if rec.get("command") == "invariants" else run_spectrum
+        fresh, _ = run(_record_args(rec))
+        bad = sorted(k for k in fresh if k in rec and rec[k] != fresh[k])
+        if bad:
+            raise CatalogMismatch(f"mismatch in {', '.join(bad)}")
+        return "verified"
+
+    return _batch(
+        path,
+        verify,
+        "catalog: {records} records, {verified} verified, {skipped} skipped (other version), "
+        "{FAIL} mismatches, {ERROR} errors",
+    )
+
+
+def _check_corpus(args) -> int:
+    """Identity suite on every corpus entry: a PASS line each, or a FAIL
+    (violated identity or bound) or ERROR line."""
+
+    def check(entry: dict) -> str:
+        if not isinstance(entry.get("input"), str):
+            raise ValueError("'input' must be a string")
+        checks = _check_one(
+            entry["input"],
+            _variable_names(entry.get("vars", args.vars)),
+            _optional_int(entry.get("k_max"), "k_max"),
+            _optional_int(entry.get("seed"), "seed", args.seed),
+            _optional_field(entry.get("nodal", False), "nodal", (bool,)),
+            _optional_rational(entry.get("alpha_min"), "alpha_min"),
+            _optional_exponents(entry.get("exponents"), "exponents"),
+            _optional_field(entry.get("binary_form"), "binary_form", (str,)),
+        )
+        print(f"PASS {entry['input']}: " + "; ".join(checks))
+        return "PASS"
+
+    return _batch(
+        args.corpus,
+        check,
+        "corpus: {records} records, {PASS} passed, {FAIL} failed, {ERROR} errors",
+        label_by_input=True,
+    )
 
 
 def cmd_check(args) -> int:
@@ -624,12 +547,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="graded dimension table")
     common(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
+    p_inv.set_defaults(func=cmd_run, run=run_invariants)
 
     p_sp = sub.add_parser("spectrum", help="pole spectrum with stage diagnostics")
     common(p_sp, poly_required=False)
     p_sp.add_argument("--binary-form", default=None, help="closed-form path, e.g. 'x:2,y:2'")
-    p_sp.set_defaults(func=cmd_spectrum)
+    p_sp.set_defaults(func=cmd_run, run=run_spectrum)
 
     p_chk = sub.add_parser("check", help="identity suite / oracle comparison / catalog verify")
     common(p_chk, poly_required=False)

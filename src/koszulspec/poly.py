@@ -164,7 +164,8 @@ def partials(f: HomogeneousPoly) -> list[HomogeneousPoly]:
 
 # -- parsing ----------------------------------------------------------------
 
-_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+# a rational coefficient, alone or glued to the first factor as in "3x" or "2/3x^2"
+_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?([A-Za-z_].*)?$")
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 
 
@@ -173,30 +174,15 @@ def _parse_term(term: str, variables: list[str]) -> tuple[Fraction, Exponent]:
     if not pieces:
         raise PolySyntaxError(f"empty term in {term!r}")
     coeff = Fraction(1)
-    start = 0
     m = _COEFF_RE.match(pieces[0])
     if m:
-        num, den = m.group(1), m.group(2)
+        num, den, rest = m.groups()
         if den is not None and int(den) == 0:
             raise PolySyntaxError("zero denominator in coefficient")
-        coeff = Fraction(int(num), int(den) if den is not None else 1)
-        start = 1
-    else:
-        # allow a coefficient glued to the first factor, e.g. "3x" or "2/3x^2"
-        glued = re.match(r"^(\d+(?:/\d+)?)([A-Za-z_].*)$", pieces[0])
-        if glued:
-            num_txt, rest = glued.group(1), glued.group(2)
-            if "/" in num_txt:
-                p, q = num_txt.split("/")
-                if int(q) == 0:
-                    raise PolySyntaxError("zero denominator in coefficient")
-                coeff = Fraction(int(p), int(q))
-            else:
-                coeff = Fraction(int(num_txt))
-            pieces[0] = rest
+        coeff = Fraction(int(num), int(den or 1))
+        pieces[:1] = [rest] if rest else []
     exponents = [0] * len(variables)
-    saw_factor = False
-    for piece in pieces[start:]:
+    for piece in pieces:
         fm = _FACTOR_RE.match(piece)
         if not fm:
             raise PolySyntaxError(f"cannot parse factor {piece!r}")
@@ -207,9 +193,6 @@ def _parse_term(term: str, variables: list[str]) -> tuple[Fraction, Exponent]:
         if power < 1:
             raise PolySyntaxError(f"exponent must be positive in {piece!r}")
         exponents[variables.index(name)] += power
-        saw_factor = True
-    if not saw_factor and start == 0:
-        raise PolySyntaxError(f"term {term!r} has neither coefficient nor variables")
     return coeff, tuple(exponents)
 
 

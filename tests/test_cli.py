@@ -89,6 +89,18 @@ def test_spectrum_golden(capsys):
     assert out == GOLDEN_SPECTRUM_XYZ
 
 
+def test_spectrum_lists_a_nonempty_torsion_profile(capsys):
+    """A tower that does not degenerate at E2 lists every nonzero image of a
+    higher differential by stage and degree."""
+    code, out, _ = run(capsys, "spectrum", "x^5 + y^5 + x^2*y^2*z")
+    assert code == 0
+    lines = out.splitlines()
+    i = lines.index("torsion profile:")
+    assert lines[i - 1] == "E2: non-degenerate"
+    assert lines[i + 1 : i + 9] == [f"stage 2 degree {k}: 1" for k in range(3, 11)]
+    assert lines[i + 9] == "Sp_P:"
+
+
 def test_spectrum_binary_form_lines(capsys):
     code, out, _ = run(capsys, "spectrum", "--binary-form", "x:2,y:2")
     assert code == 0
@@ -424,30 +436,70 @@ def test_catalog_record_without_a_seed_uses_the_default(tmp_path, capsys):
 
 
 def test_catalog_errors_name_the_line(tmp_path, capsys):
+    """A record that cannot be replayed is an ERROR line naming its line
+    number and exit code, and the verification goes on."""
     cat = tmp_path / "catalog.jsonl"
     run(capsys, "invariants", "x*y*z", "--catalog", str(cat))
     good = cat.read_text()
     rec = json.loads(good)
     del rec["variables"]
     cat.write_text(good + "\n" + json.dumps(rec) + "\n")
-    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    code, out, _ = run(capsys, "check", "--catalog", str(cat))
     assert code == 2
-    assert "catalog line 3:" in err and "variables" in err
+    lines = out.splitlines()
+    assert lines[0].startswith("ERROR line 3:") and "variables" in lines[0]
+    assert lines[0].endswith("(exit 2)")
+    assert lines[1] == "catalog: 2 records, 1 verified, 0 skipped (other version), 0 mismatches, 1 errors"
     cat.write_text(good + good[: len(good) // 2] + "\n")
-    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    code, out, _ = run(capsys, "check", "--catalog", str(cat))
     assert code == 2
-    assert "catalog line 2:" in err
+    assert out.splitlines()[0].startswith("ERROR line 2:")
     rec = json.loads(good)
     rec["k_max"] = "12"
     cat.write_text(json.dumps(rec) + "\n")
-    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    code, out, _ = run(capsys, "check", "--catalog", str(cat))
     assert code == 2
-    assert "catalog line 1:" in err and "k_max" in err
+    assert out.splitlines()[0] == "ERROR line 1: 'k_max' must be an integer (exit 2)"
     rec["k_max"], rec["command"], rec["binary_form"] = 12, "spectrum", 5
     cat.write_text(json.dumps(rec) + "\n")
-    code, _, err = run(capsys, "check", "--catalog", str(cat))
+    code, out, _ = run(capsys, "check", "--catalog", str(cat))
     assert code == 2
-    assert "catalog line 1:" in err and "binary_form" in err
+    assert out.splitlines()[0] == "ERROR line 1: 'binary_form' must be str (exit 2)"
+
+
+def test_catalog_keeps_going_past_a_bad_record(tmp_path, capsys):
+    """Every bad line of a catalog is reported with its number and exit
+    code, the good records around them are still verified, and the exit
+    code is the highest one seen."""
+    cat = tmp_path / "catalog.jsonl"
+    run(capsys, "invariants", "x*y*z", "--catalog", str(cat))
+    good = cat.read_text()
+
+    def variant(**fields):
+        rec = json.loads(good)
+        rec.update(fields)
+        return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+    mu = json.loads(good)["mu"]
+    mu[3] = 99
+    cat.write_text(
+        good
+        + variant(k_max=5)
+        + variant(input="x^3")
+        + good[: len(good) // 2] + "\n"
+        + variant(mu=mu)
+        + good
+    )
+    code, out, _ = run(capsys, "check", "--catalog", str(cat))
+    assert code == 4
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == "ERROR line 2: k_max must be at least n*d = 9 (exit 2)"
+    assert lines[1].startswith("ERROR line 3: assumption check failed:")
+    assert lines[1].endswith("(exit 3)")
+    assert lines[2].startswith("ERROR line 4:") and lines[2].endswith("(exit 2)")
+    assert lines[3] == "FAIL line 5: mismatch in mu (exit 4)"
+    assert lines[4] == "catalog: 6 records, 2 verified, 0 skipped (other version), 1 mismatches, 3 errors"
 
 
 def test_exit_parse_error(capsys):

@@ -33,6 +33,22 @@ def test_parse_coefficients():
     assert f.terms[(1, 1)] == 3
 
 
+def test_parse_glued_coefficients():
+    # a coefficient may be glued to its first factor
+    xy = ["x", "y"]
+    assert parse_poly("3x^2 - 2/3x*y + y^2", xy) == parse_poly("3*x^2 - 2/3*x*y + y^2", xy)
+
+
+def test_parse_rejects_a_zero_denominator():
+    for text in ("2/0x", "2/0*x"):
+        with pytest.raises(PolySyntaxError):
+            parse_poly(text, ["x", "y"])
+
+
+def test_parse_leading_sign():
+    assert parse_poly("-x^2 + y^2", ["x", "y"]).terms == {(2, 0): -1, (0, 2): 1}
+
+
 def test_parse_rejects_full_cancellation():
     # the zero polynomial has no degree and no hypersurface
     with pytest.raises(NotHomogeneousError):
