@@ -35,10 +35,11 @@ from .decomp import (
     InvariantTable,
     NotStabilizedError,
     build_invariant_table,
+    check_k_max,
     check_nodal_vanishing,
     verify_corollaries,
 )
-from .koszul import KoszulWindow
+from .koszul import ColumnStore, KoszulWindow
 from .poly import HomogeneousPoly, parse_poly
 from .polespec import (
     BoundViolation,
@@ -90,7 +91,13 @@ def parse_binary_form(text: str) -> BinaryFormFactorization:
         if not sep:
             raise ValueError(f"factor {chunk!r} needs the form linear:multiplicity")
         lin = parse_poly(lin_text.strip(), ["x", "y"])
-        pairs.append((lin, int(mult_text)))
+        try:
+            mult = int(mult_text)
+        except ValueError:
+            raise ValueError(
+                f"--binary-form factor {chunk!r} needs an integer multiplicity, not {mult_text!r}"
+            ) from None
+        pairs.append((lin, mult))
     return BinaryFormFactorization.from_factors(pairs)
 
 
@@ -201,18 +208,32 @@ def run_record(command: str, args, tab: InvariantTable, tower: Tower | None = No
     }
 
 
-def _engine_table(args) -> tuple[HomogeneousPoly, InvariantTable]:
+def _table(f: HomogeneousPoly, k_max: int | None, seed: int) -> tuple[InvariantTable, ColumnStore]:
+    """The table of `f` on a window of its own, and that window's column
+    store for the tower to adopt.  The window itself, with its modular
+    spans, is dropped on return."""
+    check_k_max(f.n, f.degree, k_max)
+    win = KoszulWindow(f, k_max)
+    return build_invariant_table(f, seed=seed, win=win), win.columns
+
+
+def _engine_table(args) -> tuple[InvariantTable, ColumnStore]:
     f = parse_poly(args.poly, _parse_vars(args.vars))
     t0 = time.perf_counter()
-    tab = build_invariant_table(f, k_max=args.kmax, seed=args.seed)
+    tab, columns = _table(f, args.kmax, args.seed)
     _timed("table", t0)
-    return f, tab
+    return tab, columns
 
 
-def _tower(f: HomogeneousPoly, tab: InvariantTable) -> Tower:
-    """The tower of `f` over the table's degrees, on a window of its own
-    (the table keeps the window it built)."""
-    win = KoszulWindow(f, tab.k_max)
+def _tower(tab: InvariantTable, columns: ColumnStore) -> Tower:
+    """The tower over the table's degrees, on a window of its own that
+    adopts the table window's column store and nothing else.  Stage 1
+    reads dim M_k off exact ranks; a table mu that differs is refused."""
+    win = KoszulWindow(columns.f, tab.k_max, columns=columns)
+    mu1, _ = stage_snapshot(win, 1)
+    bad = [("table-mu-vs-stage-1", k, a, b) for k, (a, b) in enumerate(zip(tab.mu, mu1)) if a != b]
+    if bad:
+        raise IdentityViolation(bad)
     sp, profile = pole_spectrum(win), torsion_profile(win)
     mu2, nu2 = stage_snapshot(win, 2)
     k_hi = tab.k_max - tab.d
@@ -220,7 +241,7 @@ def _tower(f: HomogeneousPoly, tab: InvariantTable) -> Tower:
 
 
 def run_invariants(args) -> tuple[dict, list[str]]:
-    _, tab = _engine_table(args)
+    tab, _ = _engine_table(args)
     record = run_record("invariants", args, tab)
     nonnegative = record["verdicts"]["defect_sides_nonnegative"]
     return record, _head(f"f: {args.poly}", tab) + [
@@ -232,6 +253,7 @@ def run_invariants(args) -> tuple[dict, list[str]]:
 def run_spectrum(args) -> tuple[dict, list[str]]:
     if args.binary_form:
         fac = parse_binary_form(args.binary_form)
+        check_k_max(2, fac.d, args.kmax)
         tab = binary_invariant_table(fac, args.kmax if args.kmax is not None else 3 * fac.d)
         # closed-form binary towers always settle at stage two with no torsion
         tower = (
@@ -243,9 +265,9 @@ def run_spectrum(args) -> tuple[dict, list[str]]:
     else:
         if not args.poly:
             raise ValueError("need a polynomial or --binary-form")
-        f, tab = _engine_table(args)
+        tab, columns = _engine_table(args)
         t0 = time.perf_counter()
-        tower = _tower(f, tab)
+        tower = _tower(tab, columns)
         _timed("tower", t0)
         head = _head(f"f: {args.poly}", tab)
     sp, profile, mu2, nu2 = tower
@@ -303,7 +325,7 @@ def _check_one(
                 f"the binary form {binary_form!r} has degree {fac.d} in 2 variables; "
                 f"the input has degree {f.degree} in {f.n}"
             )
-    tab = build_invariant_table(f, k_max=kmax, seed=seed)
+    tab, columns = _table(f, kmax, seed)
     report = verify_corollaries(tab)
     lines = [f"identities: ok (defect sides {'nonnegative' if report.defect_sides_nonnegative else 'mixed sign'})"]
     if nodal:
@@ -311,7 +333,7 @@ def _check_one(
         lines.append("nodal vanishing: ok")
     # one tower serves both the oracle comparison and the bounds
     if binary_form is not None or alpha_min is not None:
-        sp, _, _, nu2 = _tower(f, tab)
+        sp, _, _, nu2 = _tower(tab, columns)
     if binary_form is not None:
         oracle = binary_invariant_table(fac, tab.k_max)
         closed = binary_pole_spectrum(fac).spectrum

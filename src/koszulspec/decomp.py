@@ -191,10 +191,18 @@ def check_nodal_vanishing(tab: InvariantTable) -> None:
         raise IdentityViolation(bad)
 
 
+def check_k_max(n: int, d: int, k_max: int | None) -> None:
+    """Refuse a window top below n*d, where the table's identities live;
+    None stands for the default top, which is above it."""
+    if k_max is not None and k_max < n * d:
+        raise ValueError(f"k_max must be at least n*d = {n * d}")
+
+
 def build_invariant_table(
     f: HomogeneousPoly,
     k_max: int | None = None,
     seed: int = 0,
+    win: KoszulWindow | None = None,
 ) -> InvariantTable:
     """Full invariant table with validated generic splitting.
 
@@ -202,10 +210,15 @@ def build_invariant_table(
     the seed is advanced (three modular attempts in all), then everything is
     redone with exact ranks and the original seed before a violation is
     finally raised.
+
+    The table runs on `win`, a fresh window of f whose top its builder has
+    checked, or else on a new KoszulWindow(f, k_max), after check_k_max.
     """
-    if k_max is not None and k_max < f.n * f.degree:
-        raise ValueError(f"k_max must be at least n*d = {f.n * f.degree}")
-    win = KoszulWindow(f, k_max)
+    if win is None:
+        check_k_max(f.n, f.degree, k_max)
+        win = KoszulWindow(f, k_max)
+    elif win.f != f or k_max not in (None, win.k_max):
+        raise ValueError("the window is not one of f with top k_max")
     evidence = assumption_evidence(win, seed)
     if not evidence.passed:
         raise AssumptionFailure(evidence)

@@ -73,40 +73,23 @@ def gamma_series(n: int, d: int, k_max: int) -> list[int]:
     ]
 
 
-class KoszulWindow:
-    """All graded data of the Koszul complex of f up to degree k_max.
+class ColumnStore:
+    """The column side of the Koszul complex of f: the partials' terms, the
+    monomial lists, the offset maps and the df wedge and exterior
+    derivative column blocks, each built on first use and kept.
 
-    Ranks are cached per (form degree, grading degree).  The default rank
-    path is one elimination modulo p0*p1, which stands for both fixed
-    primes; when it meets a pivot divisible by one prime, the rank is
-    computed by exact elimination instead.
-    force_exact() recomputes every cached rank that is not exact yet and
-    sends every later rank, free_ranks' included, down the exact path.
-    For n <= k <= n*d the (n-1, k-d) block, the df wedge image in M_k, is
-    eliminated once modulo p0*p1 and kept as a span (an empty block gets
-    none): rank_wedge reads its rank from it, and free_ranks reduces by it
-    as it pushes a basis of M_k up one degree at a time.  Its exact rank,
-    forced or after a zero divisor, is read from the same block's span
-    over Q, which the exact push reduces by, so each block is eliminated
-    once per table and modulus.
-    Once assumption_evidence certifies f, a rank out of j <= n-2 (n-1 if f
-    is smooth) is exact, read off exactness: dim(j, m) - r(j-1, m-d).
-    record_exact_rank caches a rank found exactly elsewhere; on the tower
-    window stage 1 records every (n-1, m) and (n-2, m) rank (no span).
-    The monomial lists and offset maps the columns are built from are
-    cached on the window too, never module-wide, so every window starts
-    from the same cold state.
+    Nothing here depends on a rank, a prime or a certificate, and no
+    consumer modifies a column, so a second window of the same f and k_max
+    can adopt the store (`KoszulWindow(f, k_max, columns=store)`) and build
+    no block twice.  It is never cached module-wide: a window made without
+    one builds its own, cold.
     """
 
-    def __init__(self, f: HomogeneousPoly, k_max: int | None = None):
-        if f.is_zero():
-            raise ValueError("zero polynomial has no Koszul complex")
+    def __init__(self, f: HomogeneousPoly, k_max: int):
         self.f = f
+        self.k_max = k_max
         self.n = f.n
         self.d = f.degree
-        self.k_max = k_max if k_max is not None else self.n * self.d + self.d
-        if self.k_max < self.n:
-            raise ValueError("window too small to contain any top forms")
         terms = f.integer_terms()
         self.partial_terms: list[dict[Exponent, int]] = []
         for i in range(self.n):
@@ -122,14 +105,6 @@ class KoszulWindow:
         self._subsets: dict[int, dict[IndexSet, int]] = {}
         self._wedge_cols: dict[tuple[int, int], list[SparseVec]] = {}
         self._deriv_cols: dict[tuple[int, int], list[SparseVec]] = {}
-        self._rank: dict[tuple[int, int], int] = {}
-        self._exact: set[tuple[int, int]] = set()  # cached ranks known exact
-        self._image_spans: dict[tuple[int, int], IntEchelon | ModularSpan | None] = {}
-        self._exact_ranks = False
-        self._exact_through = -1  # largest j at which the complex is known exact
-        self._gamma = gamma_series(self.n, self.d, self.k_max)
-        # the pole order tower's result, cached by polespec._run_tower
-        self._tower_result = None
 
     # -- bases ---------------------------------------------------------------
     #
@@ -138,9 +113,6 @@ class KoszulWindow:
     # k - j in lexicographic order.  So (idx, a) sits at column position
     # subsets(j)[idx] * N + (position of a in monomials(k - j)), N being the
     # number of monomials of degree k - j.
-
-    def dim(self, j: int, k: int) -> int:
-        return omega_dim(self.n, j, k)
 
     def monomials(self, m: int) -> list[Exponent]:
         """Exponents of degree m in lexicographic order; cached."""
@@ -190,10 +162,22 @@ class KoszulWindow:
     # ascending, then in the order of the factor's terms.
 
     def wedge_columns(self, j: int, m: int) -> list[SparseVec]:
-        """Integer columns of df wedge : (j-forms, degree m) -> (j+1, m+d)."""
-        key = (j, m)
-        if key in self._wedge_cols:
-            return self._wedge_cols[key]
+        """Integer columns of df wedge : (j-forms, degree m) -> (j+1, m+d),
+        built once."""
+        cols = self._wedge_cols.get((j, m))
+        if cols is None:
+            cols = self._wedge_cols[(j, m)] = self._build_wedge(j, m)
+        return cols
+
+    def derivative_columns(self, j: int, m: int) -> list[SparseVec]:
+        """Integer columns of the exterior derivative (j, m) -> (j+1, m),
+        built once."""
+        cols = self._deriv_cols.get((j, m))
+        if cols is None:
+            cols = self._deriv_cols[(j, m)] = self._build_derivative(j, m)
+        return cols
+
+    def _build_wedge(self, j: int, m: int) -> list[SparseVec]:
         cols: list[SparseVec] = []
         if 0 <= j < self.n and m >= j:
             deg = m - j
@@ -216,14 +200,9 @@ class KoszulWindow:
                         for col, r in zip(block, offsets):
                             col[base + r] = v
                 cols.extend(block)
-        self._wedge_cols[key] = cols
         return cols
 
-    def derivative_columns(self, j: int, m: int) -> list[SparseVec]:
-        """Integer columns of the exterior derivative (j, m) -> (j+1, m)."""
-        key = (j, m)
-        if key in self._deriv_cols:
-            return self._deriv_cols[key]
+    def _build_derivative(self, j: int, m: int) -> list[SparseVec]:
         cols: list[SparseVec] = []
         if 0 <= j < self.n and m >= j:
             deg = m - j
@@ -243,8 +222,71 @@ class KoszulWindow:
                     for r, q in enumerate(units[i]):
                         block[q][base + r] = s * monos[q][i]
                 cols.extend(block)
-        self._deriv_cols[key] = cols
         return cols
+
+
+class KoszulWindow:
+    """All graded data of the Koszul complex of f up to degree k_max.
+
+    Ranks are cached per (form degree, grading degree).  The default rank
+    path is one elimination modulo p0*p1, which stands for both fixed
+    primes; when it meets a pivot divisible by one prime, the rank is
+    computed by exact elimination instead.
+    force_exact() recomputes every cached rank that is not exact yet and
+    sends every later rank, free_ranks' included, down the exact path.
+    For n <= k <= n*d the (n-1, k-d) block, the df wedge image in M_k, is
+    eliminated once modulo p0*p1 and kept as a span (an empty block gets
+    none): rank_wedge reads its rank from it, and free_ranks reduces by it
+    as it pushes a basis of M_k up one degree at a time.  Its exact rank,
+    forced or after a zero divisor, is read from the same block's span
+    over Q, which the exact push reduces by, so each block is eliminated
+    once per table and modulus.
+    Once assumption_evidence certifies f, a rank out of j <= n-2 (n-1 if f
+    is smooth) is exact, read off exactness: dim(j, m) - r(j-1, m-d).
+    record_exact_rank caches a rank found exactly elsewhere; on the tower
+    window stage 1 records every (n-1, m) and (n-2, m) rank (no span).
+    The monomial lists, offset maps and column blocks live in `columns`, a
+    ColumnStore.  A window builds its own, cold, unless it is handed the
+    store of another window of the same f and k_max: the CLI's tower
+    window adopts the table window's store, and nothing else of it, so
+    each block is built once per run and every run still starts cold.
+    """
+
+    def __init__(
+        self, f: HomogeneousPoly, k_max: int | None = None, columns: ColumnStore | None = None
+    ):
+        if f.is_zero():
+            raise ValueError("zero polynomial has no Koszul complex")
+        self.f = f
+        self.n = f.n
+        self.d = f.degree
+        self.k_max = k_max if k_max is not None else self.n * self.d + self.d
+        if self.k_max < self.n:
+            raise ValueError("window too small to contain any top forms")
+        if columns is None:
+            columns = ColumnStore(f, self.k_max)
+        elif columns.f != f or columns.k_max != self.k_max:
+            raise ValueError("a window adopts only the column store of the same f and k_max")
+        self.columns = columns
+        self._rank: dict[tuple[int, int], int] = {}
+        self._exact: set[tuple[int, int]] = set()  # cached ranks known exact
+        self._image_spans: dict[tuple[int, int], IntEchelon | ModularSpan | None] = {}
+        self._exact_ranks = False
+        self._exact_through = -1  # largest j at which the complex is known exact
+        self._gamma = gamma_series(self.n, self.d, self.k_max)
+        # the pole order tower's result, cached by polespec._run_tower
+        self._tower_result = None
+
+    def dim(self, j: int, k: int) -> int:
+        return omega_dim(self.n, j, k)
+
+    def wedge_columns(self, j: int, m: int) -> list[SparseVec]:
+        """Integer columns of df wedge : (j-forms, degree m) -> (j+1, m+d)."""
+        return self.columns.wedge_columns(j, m)
+
+    def derivative_columns(self, j: int, m: int) -> list[SparseVec]:
+        """Integer columns of the exterior derivative (j, m) -> (j+1, m)."""
+        return self.columns.derivative_columns(j, m)
 
     # -- ranks -----------------------------------------------------------------
 
@@ -311,8 +353,8 @@ class KoszulWindow:
     def fills(self, k: int, y: HomogeneousPoly) -> bool:
         """Whether J + (y) fills the n-forms of degree k: modulo p0*p1, whose
         full rank is full over Q, else (or on a zero divisor) over Q."""
-        maps = [(self.shift(k - self.n - 1, e), c) for e, c in y.integer_terms().items()]
-        cols = [{s[i]: c for s, c in maps} for i in range(len(self.monomials(k - self.n - 1)))]
+        maps = [(self.columns.shift(k - self.n - 1, e), c) for e, c in y.integer_terms().items()]
+        cols = [{s[i]: c for s, c in maps} for i in range(len(self.columns.monomials(k - self.n - 1)))]
         for p in (PRIME_PRODUCT, 0):
             span = self._image_span(k, p)
             try:
@@ -375,7 +417,7 @@ class KoszulWindow:
         ranks: dict[int, int] = {}
         for k in range(nd - 1, n - 1, -1):
             free, below = self._quotient(k, p)
-            maps = [(self.shift(k - n, e), c) for e, c in terms.items()]
+            maps = [(self.columns.shift(k - n, e), c) for e, c in terms.items()]
             nxt = {}
             for i in free:
                 vec: SparseVec = {}

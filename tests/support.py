@@ -7,6 +7,7 @@ force_exact() or a certificate, and it caches its tower's result), so no
 test reads what another one left in it.
 """
 
+import copy
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -15,7 +16,7 @@ from math import lcm
 
 from koszulspec.closedform import BinaryFormFactorization
 from koszulspec.decomp import build_invariant_table
-from koszulspec.koszul import KoszulWindow
+from koszulspec.koszul import ColumnStore, KoszulWindow
 from koszulspec.linalg import (
     DEFAULT_PRIMES,
     PRIME_PRODUCT,
@@ -310,6 +311,26 @@ def reference_kernel(columns):
     return out
 
 
+# -- column builds -------------------------------------------------------------
+
+
+def record_column_builds(monkeypatch):
+    """Wrap the two block builders of ColumnStore: the returned list gets
+    one (kind, store, j, m, deep copy of the block) per build, none per
+    lookup."""
+    builds = []
+    for kind in ("_build_wedge", "_build_derivative"):
+        real = getattr(ColumnStore, kind)
+
+        def build(store, j, m, real=real, kind=kind):
+            cols = real(store, j, m)
+            builds.append((kind, store, j, m, copy.deepcopy(cols)))
+            return cols
+
+        monkeypatch.setattr(ColumnStore, kind, build)
+    return builds
+
+
 # -- reference column builders --------------------------------------------------
 #
 # The tuple-keyed construction the window's offset maps replaced: a basis
@@ -358,7 +379,7 @@ def reference_wedge_columns(win, j, m):
             for i in range(win.n):
                 if i in idx:
                     continue
-                for pexp, c in win.partial_terms[i].items():
+                for pexp, c in win.columns.partial_terms[i].items():
                     r = target[(_inserted(i, idx), tuple(a + b for a, b in zip(expo, pexp)))]
                     acc = col.get(r, 0) + _sign(i, idx) * c
                     if acc:
@@ -400,9 +421,9 @@ def mult_columns(win, k, terms):
     coefficient `terms`, from n-forms of degree k, built from the window's
     offset maps; n-forms have a single index set, so a row is a monomial
     position."""
-    cols = [{} for _ in win.monomials(k - win.n)]
+    cols = [{} for _ in win.columns.monomials(k - win.n)]
     for add, c in terms.items():
-        for col, r in zip(cols, win.shift(k - win.n, add)):
+        for col, r in zip(cols, win.columns.shift(k - win.n, add)):
             col[r] = c
     return cols
 

@@ -4,11 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 
-from koszulspec import cli
+import support
+from koszulspec import cli, polespec
 from koszulspec.cli import main
+from koszulspec.koszul import KoszulWindow
+from koszulspec.linalg import PRIME_PRODUCT
 
 GOLDEN_INVARIANTS_XYZ = """\
 f: x*y*z
@@ -117,6 +122,71 @@ def test_spectrum_engine_agrees_with_closed_form(capsys):
     _, closed, _ = run(capsys, "spectrum", "--binary-form", "x:2,y:2")
     _, engine, _ = run(capsys, "spectrum", "x^2*y^2", "-v", "x,y")
     assert closed.splitlines()[3:] == engine.splitlines()[3:]
+
+
+def test_spectrum_binary_form_checks_the_window_first(capsys, monkeypatch):
+    """A window below n*d is refused before the closed form is built, with
+    the engine path's message."""
+    monkeypatch.setattr(cli, "binary_invariant_table", None)
+    code, out, err = run(capsys, "spectrum", "--binary-form", "x:2,y:2", "--kmax", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: k_max must be at least n*d = 8\n"
+
+
+def test_spectrum_binary_form_names_a_bad_multiplicity(capsys):
+    code, out, err = run(capsys, "spectrum", "--binary-form", "x:2,y:a")
+    assert (code, out) == (2, "")
+    assert err == "error: --binary-form factor 'y:a' needs an integer multiplicity, not 'a'\n"
+
+
+@pytest.mark.parametrize(
+    "poly, variables, kmax",
+    [("x^2*y^2 + z^4 + w^4", "x,y,z,w", "17"), ("x*y*z + x*y*w + x*z*w + y*z*w", "x,y,z,w", "12")],
+)
+def test_spectrum_builds_each_column_block_once(capsys, monkeypatch, poly, variables, kmax):
+    """The table window and the tower window share one column store: each
+    df wedge and derivative block is built once per run, and the table
+    window is gone before stage 1 runs."""
+    builds = support.record_column_builds(monkeypatch)
+    windows, table_alive = [], []
+    real_init, real_build = KoszulWindow.__init__, polespec.SubquotientState._build
+
+    def init(win, *args, **kwargs):
+        real_init(win, *args, **kwargs)
+        windows.append(weakref.ref(win))
+
+    def stage_one(state):
+        table_alive.append(windows[0]() is not None)
+        real_build(state)
+
+    monkeypatch.setattr(KoszulWindow, "__init__", init)
+    monkeypatch.setattr(polespec.SubquotientState, "_build", stage_one)
+    code, _, _ = run(capsys, "spectrum", poly, "--vars", variables, "--kmax", kmax)
+    assert code == 0
+    assert len(windows) == 2 and len({id(store) for _, store, *_ in builds}) == 1
+    counts = Counter((kind, j, m) for kind, _, j, m, _ in builds)
+    assert {kind for kind, _, _ in counts} == {"_build_wedge", "_build_derivative"}
+    assert set(counts.values()) == {1}
+    assert table_alive == [False]
+
+
+def test_spectrum_refuses_a_table_that_stage_1_contradicts(capsys):
+    """x^2 + p0*p1*y^2 is a smooth conic, but modulo both fixed primes its
+    table sees x^2: stage 1's exact mu row differs at degree 3, and the run
+    is refused (exit 4) instead of printing tau = 1."""
+    conic = f"x^2 + {PRIME_PRODUCT}*y^2"
+    for argv in (["spectrum", conic], ["check", conic, "--alpha-min", "1"]):
+        code, out, err = run(capsys, *argv, "-v", "x,y")
+        assert (code, out) == (4, ""), argv
+        assert err.endswith("error: identity table-mu-vs-stage-1 fails at degree 3: 1 != 0\n")
+
+
+def test_spectrum_refuses_the_fixed_prime_two_a3_input_at_the_table(capsys):
+    """x^2*y^2 + p0*p1*z^4 reads as x^2*y^2 modulo both primes: its table
+    mu never stabilizes, so the certificate refuses it (exit 3)."""
+    code, out, err = run(capsys, "spectrum", f"x^2*y^2 + {PRIME_PRODUCT}*z^4")
+    assert (code, out) == (3, "")
+    assert "mu_stabilized=False" in err
 
 
 def test_byte_determinism(capsys):

@@ -53,6 +53,22 @@ def test_tau_needs_stabilized_window():
         tau(win)
 
 
+def test_table_on_a_given_window(monkeypatch):
+    """build_invariant_table runs on the window it is handed, of its own f
+    and top only; without one, a top below n*d is refused before any window
+    is built."""
+    f = support.corpus_poly("xyz")
+    win = KoszulWindow(f)
+    assert build_invariant_table(f, win=win) == support.corpus_table("xyz")
+    assert win._rank
+    for g, k_max in ((support.corpus_poly("fourlines"), None), (f, win.k_max + 1)):
+        with pytest.raises(ValueError, match="not one of f"):
+            build_invariant_table(g, k_max, win=KoszulWindow(f))
+    monkeypatch.setattr(decomp, "KoszulWindow", None)
+    with pytest.raises(ValueError, match=r"k_max must be at least n\*d = 9"):
+        build_invariant_table(f, k_max=8)
+
+
 def test_frozen_example_tables():
     for data in tables.FIVE_EXAMPLES:
         tab = support.table(data["text"], data["variables"])

@@ -9,6 +9,7 @@ import support
 import tables
 from koszulspec import linalg
 from koszulspec.koszul import (
+    ColumnStore,
     KoszulWindow,
     assumption_evidence,
     gamma_series,
@@ -90,6 +91,20 @@ def test_window_rejects_tiny_window():
     f = support.poly("x*y*z", support.VARS3)
     with pytest.raises(ValueError):
         KoszulWindow(f, k_max=2)
+
+
+def test_a_window_adopts_a_column_store_only_of_its_own_f_and_k_max():
+    """Each window builds its own store unless handed one; a store of
+    another polynomial or window top is refused."""
+    f = support.poly("x*y*z", support.VARS3)
+    a, b = KoszulWindow(f), KoszulWindow(f)
+    assert isinstance(a.columns, ColumnStore) and a.columns is not b.columns
+    shared = KoszulWindow(support.poly("x*y*z", support.VARS3), a.k_max, columns=a.columns)
+    assert shared.columns is a.columns
+    assert shared.wedge_columns(1, 3) is a.wedge_columns(1, 3)
+    for other, k_max in ((support.poly("2*x*y*z", support.VARS3), a.k_max), (f, a.k_max + 1)):
+        with pytest.raises(ValueError, match="same f and k_max"):
+            KoszulWindow(other, k_max, columns=a.columns)
 
 
 def test_wedge_rank_injective_on_functions():
@@ -363,13 +378,13 @@ def test_shift_maps_add_exponents():
     rng = random.Random(20261018)
     for n in (2, 3, 4, 5):
         variables = tuple(f"x{i}" for i in range(n))
-        win = KoszulWindow(support.poly(" + ".join(f"{v}^3" for v in variables), variables))
+        store = KoszulWindow(support.poly(" + ".join(f"{v}^3" for v in variables), variables)).columns
         units = [(m, tuple(int(l == i) for l in range(n))) for m in range(7) for i in range(n)]
         drawn = [(rng.randint(0, 6), tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(12)]
         for m, e in units + drawn:
-            src, dst = win.monomials(m), win.monomials(m + sum(e))
+            src, dst = store.monomials(m), store.monomials(m + sum(e))
             assert src == support.lex_monomials(n, m)
-            table = win.shift(m, e)
+            table = store.shift(m, e)
             assert len(table) == len(src)
             for a, r in zip(src, table):
                 assert dst[r] == tuple(x + y for x, y in zip(a, e)), (m, e, a)

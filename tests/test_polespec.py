@@ -242,7 +242,7 @@ def test_guard_checks_a_basis_of_the_boundaries(monkeypatch):
     real_deriv = win.derivative_columns
 
     def flipped(j, m):
-        size = len(win.monomials(m - j))
+        size = len(win.columns.monomials(m - j))
         return [{r: -x for r, x in c.items()} if q < size else c for q, c in enumerate(real_deriv(j, m))]
 
     monkeypatch.setattr(win, "derivative_columns", flipped)
@@ -662,3 +662,48 @@ def test_window_extension_oracle(text, k_max, truncated):
         assert sp_big == PoleSpectrum(
             sp_small.support, False, sp_small.stabilization_stage, sp_big.trusted_top
         )
+
+
+# -- the column store a tower window adopts from the table window ---------------
+
+
+@pytest.mark.parametrize(
+    "text, k_max",
+    [("x^2*y^2 + z^4 + w^4", 17), ("x*y*z + x*y*w + x*z*w + y*z*w", 12)],
+)
+def test_a_tower_on_the_table_windows_store_equals_a_fresh_tower(text, k_max, monkeypatch):
+    """The tower window takes the table window's columns and none of its
+    ranks: it caches the same ranks, and gives the same rows, as a tower
+    on a fresh window.  No column of the shared store changes from its
+    build through the table and the tower."""
+    f = support.poly(text, support.VARS4)
+    builds = support.record_column_builds(monkeypatch)
+    table_win = KoszulWindow(f, k_max)
+    build_invariant_table(f, win=table_win)
+    win = KoszulWindow(f, k_max, columns=table_win.columns)
+    assert win._rank == {} and win._image_spans == {} and win._exact_through == -1
+    got = pole_spectrum(win), torsion_profile(win), stage_snapshot(win, 1), stage_snapshot(win, 2)
+    shared = [b for b in builds if b[1] is table_win.columns]
+    assert shared and len(shared) == len(builds)
+    for kind, store, j, m, at_build in shared:
+        cached = store._wedge_cols if kind == "_build_wedge" else store._deriv_cols
+        assert cached[(j, m)] == at_build, (kind, j, m)
+    monkeypatch.undo()
+    fresh = KoszulWindow(f, k_max)
+    assert got == (pole_spectrum(fresh), torsion_profile(fresh), stage_snapshot(fresh, 1), stage_snapshot(fresh, 2))
+    assert win._rank == fresh._rank and win._exact == fresh._exact
+
+
+def test_a_window_made_without_a_store_builds_its_own(monkeypatch):
+    """pole_spectrum(KoszulWindow(f)) starts cold: after a table of f, the
+    tower on a new window builds every block it reads again, in its own
+    store."""
+    f = support.corpus_poly("fourlines")
+    table_win = KoszulWindow(f)
+    build_invariant_table(f, win=table_win)
+    builds = support.record_column_builds(monkeypatch)
+    win = KoszulWindow(f)
+    pole_spectrum(win)
+    assert win.columns is not table_win.columns
+    assert builds and all(store is win.columns for _, store, *_ in builds)
+    assert {(j, m) for kind, _, j, m, _ in builds if kind == "_build_wedge"} & set(table_win.columns._wedge_cols)
