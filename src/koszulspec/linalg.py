@@ -13,7 +13,11 @@ updates a row in place at the pivot row's entries.  Over the integers,
 rows are combined by cross-multiplication with their content stripped, so
 no Fractions appear in inner loops, and ties go to the smaller coefficient
 bit length.  Modulo m, a prime or N (below), each pivot row is scaled to 1
-at its pivot index, and ties go to the smaller index.  Kernels and
+at its pivot index, and ties go to the smaller index.  Many pivot rows of a
+df wedge block hold a single entry, and those take a shortcut that changes
+no pivot, row or tie-break: the entry is the pivot, a unit test by gcd
+replaces the inverse modulo m (the row is {c: 1} whatever the inverse is),
+and modulo m the rows it touches only lose that column.  Kernels and
 solutions are read off a fraction-free back-reduction of the exact pivot
 rows.  A span, exact (`IntEchelon`) or modulo m (`ModularSpan`), keeps its
 pivot rows in the order they were added and reduces a vector only by the
@@ -115,12 +119,11 @@ class ZeroDivisorError(ArithmeticError):
     composite modulus; its rank says nothing about either prime."""
 
 
-def _pivot_key(row: SparseVec, idx: int, p: int) -> tuple[int, ...]:
-    """Markowitz-style pivot row order: fewest entries, then over the
-    integers (p = 0) smallest coefficient bit length (`int.bit_length`
-    ignores the sign), then index."""
-    if p:
-        return (len(row), idx)
+def _pivot_key(row: SparseVec, idx: int) -> tuple[int, int, int]:
+    """Markowitz-style pivot row order over the integers: fewest entries,
+    then smallest coefficient bit length (`int.bit_length` ignores the
+    sign), then index.  Modulo p the key is (fewest entries, index), which
+    `_eliminate` builds inline."""
     return (len(row), min(map(int.bit_length, row.values())), idx)
 
 
@@ -148,9 +151,12 @@ def _eliminate(
     each pivot row is scaled to 1 at its pivot column; modulo
     `PRIME_PRODUCT` a pivot divisible by one prime raises `ZeroDivisorError`.
 
-    Active rows wait in a heap keyed by `_pivot_key`; an entry whose key no
-    longer matches its row's current key is stale and skipped.  `col_rows`
-    maps each column to the active rows that contain it.
+    Active rows wait in a heap keyed by `_pivot_key`, or modulo p by
+    (entries, index); an entry whose key no longer matches its row's
+    current key is stale and skipped.  `col_rows` maps each column to the
+    active rows that contain it.  A pivot row with one entry skips the
+    column search and, modulo p, the inverse and the entry-wise update of
+    the rows it touches, with the same result as the general step.
     """
     if p:
         work = [{c: y for c, x in r.items() if (y := x % p)} for r in rows]
@@ -161,7 +167,10 @@ def _eliminate(
     for i, row in enumerate(work):
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    keys = {i: _pivot_key(row, i, p) for i, row in enumerate(work) if row}
+    if p:
+        keys = {i: (len(row), i) for i, row in enumerate(work) if row}
+    else:
+        keys = {i: _pivot_key(row, i) for i, row in enumerate(work) if row}
     heap = list(keys.values())
     heapq.heapify(heap)
     pivots: list[tuple[int, int]] = []
@@ -172,19 +181,35 @@ def _eliminate(
             continue
         del keys[i]
         row = work[i]
-        for c in row:
+        single = len(row) == 1
+        if single:
+            c = next(iter(row))
             col_rows[c].discard(i)
-        c = _pick_pivot_col(row, col_rows, p)
+        else:
+            for c in row:
+                col_rows[c].discard(i)
+            c = _pick_pivot_col(row, col_rows, p)
+        piv = row[c]
         if p:
-            try:
-                inv = pow(row[c], -1, p)
-            except ValueError:
-                raise ZeroDivisorError(f"pivot {row[c]} is not a unit modulo {p}") from None
-            if inv != 1:
+            if gcd(piv, p) != 1:
+                raise ZeroDivisorError(f"pivot {piv} is not a unit modulo {p}")
+            if single:
+                row[c] = 1
+            elif piv != 1:
+                inv = pow(piv, -1, p)
                 for cc in row:
                     row[cc] = row[cc] * inv % p
         pivots.append((c, i))
-        piv = row[c]
+        if p and single:
+            for j in col_rows.pop(c):
+                other = work[j]
+                del other[c]
+                if other:
+                    keys[j] = key = (len(other), j)
+                    heapq.heappush(heap, key)
+                else:
+                    del keys[j]
+            continue
         rest = [(cc, x) for cc, x in row.items() if cc != c]
         for j in col_rows.pop(c):
             other = work[j]
@@ -218,8 +243,8 @@ def _eliminate(
                     other, side[j] = strip_joint_content(other, side[j])
                 work[j] = other
             if other:
-                keys[j] = _pivot_key(other, j, p)
-                heapq.heappush(heap, keys[j])
+                keys[j] = key = (len(other), j) if p else _pivot_key(other, j)
+                heapq.heappush(heap, key)
             else:
                 del keys[j]
     return pivots, work, side

@@ -8,11 +8,12 @@ test reads what another one left in it.
 """
 
 import copy
+import heapq
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 
 from koszulspec.closedform import BinaryFormFactorization
 from koszulspec.decomp import build_invariant_table
@@ -24,12 +25,15 @@ from koszulspec.linalg import (
     ModularSpan,
     ZeroDivisorError,
     _back_reduce,
+    _cross,
     _eliminate,
     _lowest_terms,
     _rows_of,
+    _strip_content,
     combo_kernel,
     rank_exact_rows,
     rank_mod,
+    strip_joint_content,
 )
 from koszulspec.poly import HomogeneousPoly, parse_poly, serialize_poly
 
@@ -278,6 +282,112 @@ def reference_rank(win, j, m):
         return rank_mod(cols, win.dim(j + 1, m + win.d), PRIME_PRODUCT)
     except ZeroDivisorError:
         return rank_exact_rows(cols)
+
+
+# -- reference elimination -----------------------------------------------------
+#
+# The elimination engine as it was before its one-entry pivot rows took a
+# shortcut: every pivot row searches its pivot column, is scaled by the
+# inverse of its pivot modulo p, and updates the rows it touches entry by
+# entry.  The engine must return exactly what this does, or raise the same
+# ZeroDivisorError.
+
+
+def _reference_pivot_key(row, idx, p):
+    if p:
+        return (len(row), idx)
+    return (len(row), min(map(int.bit_length, row.values())), idx)
+
+
+def _reference_pick_pivot_col(row, col_rows, p):
+    if p:
+        return min(row, key=lambda c: (len(col_rows[c]), c))
+    return min(row, key=lambda c: (len(col_rows[c]), row[c].bit_length(), c))
+
+
+def reference_eliminate(rows, p=0, rhs=None):
+    if p:
+        work = [{c: y for c, x in r.items() if (y := x % p)} for r in rows]
+    else:
+        work = [dict(r) for r in rows]
+    side = [dict(r) for r in rhs] if rhs is not None else None
+    col_rows = {}
+    for i, row in enumerate(work):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    keys = {i: _reference_pivot_key(row, i, p) for i, row in enumerate(work) if row}
+    heap = list(keys.values())
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        key = heapq.heappop(heap)
+        i = key[-1]
+        if keys.get(i) != key:
+            continue
+        del keys[i]
+        row = work[i]
+        for c in row:
+            col_rows[c].discard(i)
+        c = _reference_pick_pivot_col(row, col_rows, p)
+        if p:
+            try:
+                inv = pow(row[c], -1, p)
+            except ValueError:
+                raise ZeroDivisorError(f"pivot {row[c]} is not a unit modulo {p}") from None
+            if inv != 1:
+                for cc in row:
+                    row[cc] = row[cc] * inv % p
+        pivots.append((c, i))
+        piv = row[c]
+        rest = [(cc, x) for cc, x in row.items() if cc != c]
+        for j in col_rows.pop(c):
+            other = work[j]
+            a = other.pop(c)
+            if not p:
+                g = gcd(piv, a)
+                mp, a = piv // g, a // g
+                if mp != 1:
+                    for cc in other:
+                        other[cc] *= mp
+                if side is not None:
+                    side[j] = _cross(mp, side[j], a, side[i])
+            for cc, x in rest:
+                y = other.get(cc)
+                if y is None:
+                    y = -a * x % p if p else -a * x
+                    if y:
+                        other[cc] = y
+                        col_rows[cc].add(j)
+                else:
+                    y = (y - a * x) % p if p else y - a * x
+                    if y:
+                        other[cc] = y
+                    else:
+                        del other[cc]
+                        col_rows[cc].discard(j)
+            if not p:
+                if side is None:
+                    other, _ = _strip_content(other)
+                else:
+                    other, side[j] = strip_joint_content(other, side[j])
+                work[j] = other
+            if other:
+                keys[j] = _reference_pivot_key(other, j, p)
+                heapq.heappush(heap, keys[j])
+            else:
+                del keys[j]
+    return pivots, work, side
+
+
+def elimination_outcome(eliminate, rows, p=0, rhs=None):
+    """What an elimination engine returns on (rows, p, rhs), with every row
+    as its list of items so that key order counts too, or the message of
+    the ZeroDivisorError it raises."""
+    try:
+        pivots, out, side = eliminate(rows, p, rhs)
+    except ZeroDivisorError as exc:
+        return "raises", str(exc)
+    return pivots, [list(v.items()) for v in out], side and [list(v.items()) for v in side]
 
 
 # -- reference kernel -----------------------------------------------------------

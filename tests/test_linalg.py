@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 import support
-from koszulspec import linalg
+from koszulspec import cli, linalg
 from koszulspec.linalg import (
     IntEchelon,
     ModularSpan,
@@ -394,7 +394,7 @@ def test_pivot_choice_ignores_signs():
     rows leaves the exact pivot order unchanged."""
     row = {0: -6, 3: 5, 7: -1, 9: 12}
     neg = {c: -v for c, v in row.items()}
-    assert linalg._pivot_key(row, 4, 0) == linalg._pivot_key(neg, 4, 0) == (4, 1, 4)
+    assert linalg._pivot_key(row, 4) == linalg._pivot_key(neg, 4) == (4, 1, 4)
     col_rows = {0: {1, 2}, 3: {1}, 7: {1, 2}, 9: {1}}
     assert linalg._pick_pivot_col(row, col_rows, 0) == linalg._pick_pivot_col(neg, col_rows, 0) == 3
     rng = random.Random(20261020)
@@ -584,3 +584,89 @@ def test_modular_path_property():
     assert split >= 10
     assert raised >= 10 and units >= 10
     assert built >= 10 and added_ok >= 10
+
+
+def _random_rows(rng, pool, shape):
+    """Rows of a random matrix: `singleton` rows mostly hold one entry, on
+    few columns, so single-entry pivots clear each other and the rows they
+    touch; `dense` rows fill most of a small matrix."""
+    if shape == "singleton":
+        ncols = rng.randint(1, 12)
+        sizes = [rng.choice([0, 1, 1, 1, 1, 2, 3]) for _ in range(rng.randint(1, 30))]
+    else:
+        ncols = rng.randint(1, 7)
+        sizes = [rng.randint(0, ncols) for _ in range(rng.randint(1, 7))]
+    return [{c: rng.choice(pool) for c in rng.sample(range(ncols), min(k, ncols))} for k in sizes]
+
+
+def test_eliminate_matches_the_reference_engine():
+    """On seeded random matrices, singleton-heavy and dense, with entries
+    p0, p1, p0*p1, their negatives and multiples and 60-bit integers, the
+    engine returns exactly what the reference engine returns, key order
+    included, or raises ZeroDivisorError with the same message: over the
+    integers with and without side vectors, modulo each fixed prime and
+    modulo p0*p1.  Inputs untouched."""
+    p0, p1 = DEFAULT_PRIMES
+    rng = random.Random(20261022)
+    big = [rng.randrange(2**59, 2**60) * rng.choice([1, -1]) for _ in range(4)]
+    pool = [1, -1, 2, -3, 5, p0, -p0, p1, 3 * p1, PRIME_PRODUCT, -PRIME_PRODUCT,
+            PRIME_PRODUCT + 1, -2 * p0 - 1, *big]
+    raised = compared = 0
+    for trial in range(400):
+        rows = _random_rows(rng, pool, "singleton" if trial % 2 else "dense")
+        frozen = [dict(r) for r in rows]
+        for p in (0, p0, p1, PRIME_PRODUCT):
+            rhs = None
+            if not p and trial % 4 < 2:
+                rhs = [{t: rng.choice(pool) for t in range(3) if rng.random() < 0.4} for _ in rows]
+            want = support.elimination_outcome(support.reference_eliminate, rows, p, rhs)
+            assert support.elimination_outcome(linalg._eliminate, rows, p, rhs) == want
+            raised += want[0] == "raises"
+            compared += 1
+        assert rows == frozen
+    assert compared == 1600 and raised >= 20
+
+
+def test_eliminate_replays_the_spectrum_blocks(monkeypatch, capsys):
+    """Every elimination that `spectrum --kmax 17` runs on the df wedge and
+    derivative blocks of twoa3, the Cayley cubic and x^2*y^2 + z^4 + w^4,
+    exact and modulo p0*p1, returns exactly what the reference engine
+    returns on the same input."""
+    real = linalg._eliminate
+    seen = {"exact": 0, "modular": 0, "single": 0}
+
+    def eliminate(rows, p=0, rhs=None):
+        want = support.elimination_outcome(support.reference_eliminate, rows, p, rhs)
+        assert support.elimination_outcome(real, rows, p, rhs) == want
+        seen["modular" if p else "exact"] += 1
+        seen["single"] += sum(len(r) == 1 for r in rows)
+        return real(rows, p, rhs)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    for label in ("twoa3", "cayley", "ts_4_4_2"):
+        text, variables = support.CORPUS[label]
+        assert cli.main(["spectrum", "-v", ",".join(variables), text, "--kmax", "17"]) == 0
+    capsys.readouterr()
+    assert seen["exact"] >= 30 and seen["modular"] >= 30 and seen["single"] >= 1000, seen
+
+
+def test_singleton_pivot_edge_cases():
+    """A single-entry pivot p0*c or p1*c modulo p0*p1 raises the message it
+    always raised; an entry that is 0 modulo p0*p1 is gone before any pivot is
+    chosen, so its row pivots on its other entry; modulo a prime a
+    single-entry pivot row is {c: 1}."""
+    p0, p1 = DEFAULT_PRIMES
+    N = PRIME_PRODUCT
+    for rows, bad in (([{3: 5 * p0}], 5 * p0), ([{0: 1, 1: 2}, {1: 7 * p1}, {1: 3, 2: 1}], 7 * p1)):
+        message = f"pivot {bad} is not a unit modulo {N}"
+        with pytest.raises(ZeroDivisorError) as exc:
+            linalg._eliminate(rows, N)
+        assert str(exc.value) == message
+        assert support.elimination_outcome(support.reference_eliminate, rows, N) == ("raises", message)
+    pivots, out, _ = linalg._eliminate([{0: 5 * N, 1: 3}, {1: 7, 2: 1}, {0: -N}], N)
+    assert pivots == [(1, 0), (2, 1)]
+    assert [list(r.items()) for r in out] == [[(1, 1)], [(2, 1)], []]
+    for p in DEFAULT_PRIMES:
+        pivots, out, _ = linalg._eliminate([{4: -3}, {4: 6, 2: 1}], p)
+        assert pivots == [(4, 0), (2, 1)]
+        assert out[0] == {4: 1} and out[1] == {2: 1}
